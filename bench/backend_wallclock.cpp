@@ -95,12 +95,15 @@ int run() {
                std::to_string(r.modeled_us / 1000.0),
                std::to_string(r.run_wall_us / 1000.0),
                std::to_string(r.transport_wall_us / 1000.0)});
-    json << "{\"bench\":\"backend_wallclock\",\"backend\":\"" << name
-         << "\",\"p\":" << kProcs << ",\"local\":" << kLocal
-         << ",\"messages\":" << r.digest.messages
-         << ",\"modeled_us\":" << r.modeled_us
-         << ",\"run_wall_us\":" << r.run_wall_us
-         << ",\"transport_wall_us\":" << r.transport_wall_us << "}\n";
+    json << JsonLine()
+                .field("bench", "backend_wallclock")
+                .field("backend", name)
+                .field("p", kProcs)
+                .field("local", kLocal)
+                .field("messages", r.digest.messages)
+                .field("modeled_us", r.modeled_us)
+                .field("run_wall_us", r.run_wall_us)
+                .field("transport_wall_us", r.transport_wall_us);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();

@@ -13,7 +13,11 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/api.hpp"
@@ -133,6 +137,46 @@ Times measure_avg(sim::Machine& machine, Op&& op, double min_wall_ms = 2.0,
   acc.total_ms /= reps;
   return acc;
 }
+
+/// One flat JSON object on one line, the machine-readable record every
+/// bench prints after its table.  Fields appear in call order; numbers use
+/// the default ostream formatting, strings are quoted verbatim (keys and
+/// values here never need escaping).
+///   std::cout << JsonLine().field("bench", "x").field("p", 16);
+class JsonLine {
+ public:
+  JsonLine& field(const char* key, std::string_view value) {
+    next(key) << '"' << value << '"';
+    return *this;
+  }
+  JsonLine& field(const char* key, const char* value) {
+    return field(key, std::string_view(value));
+  }
+  JsonLine& field(const char* key, bool value) {
+    next(key) << (value ? "true" : "false");
+    return *this;
+  }
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  JsonLine& field(const char* key, T value) {
+    next(key) << value;
+    return *this;
+  }
+
+  friend std::ostream& operator<<(std::ostream& os, const JsonLine& line) {
+    return os << '{' << line.body_.str() << "}\n";
+  }
+
+ private:
+  std::ostream& next(const char* key) {
+    if (!first_) body_ << ',';
+    first_ = false;
+    return body_ << '"' << key << "\":";
+  }
+
+  std::ostringstream body_;
+  bool first_ = true;
+};
 
 inline sim::Machine make_paper_machine(int p) {
   return sim::Machine(p, sim::CostModel::calibrated_cm5());

@@ -109,14 +109,17 @@ int run() {
                std::to_string(r.reliable.naks),
                std::to_string(r.reliable.dedup_discarded),
                std::to_string(r.charged_us / 1000.0), std::string(buf)});
-    json << "{\"bench\":\"fault_overhead\",\"config\":\"" << c.label
-         << "\",\"p\":" << kProcs << ",\"local\":" << kLocal
-         << ",\"messages\":" << r.digest.messages
-         << ",\"retransmits\":" << r.reliable.retransmits
-         << ",\"naks\":" << r.reliable.naks
-         << ",\"dedup_discarded\":" << r.reliable.dedup_discarded
-         << ",\"charged_us\":" << r.charged_us
-         << ",\"overhead\":" << overhead << "}\n";
+    json << JsonLine()
+                .field("bench", "fault_overhead")
+                .field("config", c.label)
+                .field("p", kProcs)
+                .field("local", kLocal)
+                .field("messages", r.digest.messages)
+                .field("retransmits", r.reliable.retransmits)
+                .field("naks", r.reliable.naks)
+                .field("dedup_discarded", r.reliable.dedup_discarded)
+                .field("charged_us", r.charged_us)
+                .field("overhead", overhead);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();

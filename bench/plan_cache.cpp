@@ -104,15 +104,21 @@ int run() {
                std::to_string(prs_indep), std::to_string(prs_batch),
                std::string(rbuf), match ? "match" : "MISMATCH"});
 
-    json << "{\"bench\":\"plan_cache\",\"p\":" << kProcs
-         << ",\"local\":" << kLocal << ",\"density\":" << density.value
-         << ",\"w0\":" << block << ",\"batch\":" << kBatch
-         << ",\"cold_us\":" << cold_us << ",\"warm_us\":" << warm_us
-         << ",\"cache_hits\":" << cache.stats().hits
-         << ",\"cache_misses\":" << cache.stats().misses
-         << ",\"prs_msgs_indep\":" << prs_indep
-         << ",\"prs_msgs_batch\":" << prs_batch << ",\"tau_ratio\":" << ratio
-         << ",\"results_match\":" << (match ? "true" : "false") << "}\n";
+    json << JsonLine()
+                .field("bench", "plan_cache")
+                .field("p", kProcs)
+                .field("local", kLocal)
+                .field("density", density.value)
+                .field("w0", block)
+                .field("batch", kBatch)
+                .field("cold_us", cold_us)
+                .field("warm_us", warm_us)
+                .field("cache_hits", cache.stats().hits)
+                .field("cache_misses", cache.stats().misses)
+                .field("prs_msgs_indep", prs_indep)
+                .field("prs_msgs_batch", prs_batch)
+                .field("tau_ratio", ratio)
+                .field("results_match", match);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();

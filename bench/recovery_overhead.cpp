@@ -134,15 +134,18 @@ int run() {
                std::to_string(r.charged_us / 1000.0),
                std::to_string(r.recovery.wasted_us / 1000.0),
                std::to_string(r.recovery.backoff_us / 1000.0)});
-    json << "{\"bench\":\"recovery_overhead\",\"config\":\"" << c.label
-         << "\",\"p\":" << kProcs << ",\"local\":" << kLocal
-         << ",\"messages\":" << r.digest.messages
-         << ",\"attempts\":" << r.recovery.attempts
-         << ",\"restarts\":" << r.recovery.restarts
-         << ",\"rollbacks\":" << r.rollbacks
-         << ",\"charged_us\":" << r.charged_us
-         << ",\"wasted_us\":" << r.recovery.wasted_us
-         << ",\"backoff_us\":" << r.recovery.backoff_us << "}\n";
+    json << JsonLine()
+                .field("bench", "recovery_overhead")
+                .field("config", c.label)
+                .field("p", kProcs)
+                .field("local", kLocal)
+                .field("messages", r.digest.messages)
+                .field("attempts", r.recovery.attempts)
+                .field("restarts", r.recovery.restarts)
+                .field("rollbacks", r.rollbacks)
+                .field("charged_us", r.charged_us)
+                .field("wasted_us", r.recovery.wasted_us)
+                .field("backoff_us", r.recovery.backoff_us);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();

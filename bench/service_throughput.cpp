@@ -324,17 +324,25 @@ int run() {
                std::string(hbuf), std::to_string(r.prs_msgs),
                std::string(sbuf), std::string(dbuf)});
 
-    json << "{\"bench\":\"service_throughput\",\"backend\":\"" << backend
-         << "\",\"mode\":\"" << mode << "\",\"window_us\":" << window_us
-         << ",\"requests\":" << kRequests << ",\"completed\":" << r.completed
-         << ",\"rejected\":" << r.rejected << ",\"ops_per_s\":" << ops_per_s
-         << ",\"p50_us\":" << p50 << ",\"p95_us\":" << p95
-         << ",\"p99_us\":" << p99 << ",\"fusion_rate\":" << fusion
-         << ",\"cache_hit_rate\":" << r.hit_rate
-         << ",\"batches\":" << r.batches << ",\"prs_msgs\":" << r.prs_msgs
-         << ",\"shed_rate\":" << shed_rate
-         << ",\"deadline_miss_rate\":" << miss_rate
-         << ",\"wall_us\":" << r.wall_us << "}\n";
+    json << JsonLine()
+                .field("bench", "service_throughput")
+                .field("backend", backend)
+                .field("mode", mode)
+                .field("window_us", window_us)
+                .field("requests", kRequests)
+                .field("completed", r.completed)
+                .field("rejected", r.rejected)
+                .field("ops_per_s", ops_per_s)
+                .field("p50_us", p50)
+                .field("p95_us", p95)
+                .field("p99_us", p99)
+                .field("fusion_rate", fusion)
+                .field("cache_hit_rate", r.hit_rate)
+                .field("batches", r.batches)
+                .field("prs_msgs", r.prs_msgs)
+                .field("shed_rate", shed_rate)
+                .field("deadline_miss_rate", miss_rate)
+                .field("wall_us", r.wall_us);
   };
 
   for (const std::string backend : {"sim", "threads"}) {

@@ -107,12 +107,18 @@ int run() {
                std::to_string(seq_ms), std::to_string(par_ms),
                std::string(buf), match ? "match" : "MISMATCH"});
 
-    json << "{\"bench\":\"threading_scaling\",\"p\":" << kProcs
-         << ",\"local\":" << kLocal << ",\"density\":" << c.density.value
-         << ",\"w0\":" << c.block << ",\"threads\":" << threads
-         << ",\"host_cores\":" << hw << ",\"seq_ms\":" << seq_ms
-         << ",\"par_ms\":" << par_ms << ",\"speedup\":" << speedup
-         << ",\"digests_match\":" << (match ? "true" : "false") << "}\n";
+    json << JsonLine()
+                .field("bench", "threading_scaling")
+                .field("p", kProcs)
+                .field("local", kLocal)
+                .field("density", c.density.value)
+                .field("w0", c.block)
+                .field("threads", threads)
+                .field("host_cores", hw)
+                .field("seq_ms", seq_ms)
+                .field("par_ms", par_ms)
+                .field("speedup", speedup)
+                .field("digests_match", match);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();

@@ -68,17 +68,19 @@ int run() {
         ++failures;
       }
 
-      std::cout << "{\"p\": " << p << ", \"local\": " << local
-                << ", \"blocks\": " << expanded.schedule.blocks.size()
-                << ", \"rounds\": " << report.rounds
-                << ", \"posts\": " << report.posts
-                << ", \"peak_bytes\": " << report.peak.bytes
-                << ", \"compile_us\": " << compile_us
-                << ", \"expand_us\": " << expand_us
-                << ", \"verify_us\": " << verify_us
-                << ", \"verify_over_compile\": "
-                << (compile_us > 0 ? verify_us / compile_us : 0.0)
-                << ", \"ok\": " << (report.ok() ? "true" : "false") << "}\n";
+      std::cout << JsonLine()
+                       .field("p", p)
+                       .field("local", local)
+                       .field("blocks", expanded.schedule.blocks.size())
+                       .field("rounds", report.rounds)
+                       .field("posts", report.posts)
+                       .field("peak_bytes", report.peak.bytes)
+                       .field("compile_us", compile_us)
+                       .field("expand_us", expand_us)
+                       .field("verify_us", verify_us)
+                       .field("verify_over_compile",
+                              compile_us > 0 ? verify_us / compile_us : 0.0)
+                       .field("ok", report.ok());
     }
   }
   return failures == 0 ? 0 : 1;

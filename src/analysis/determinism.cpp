@@ -1,6 +1,5 @@
 #include "analysis/determinism.hpp"
 
-#include <cstring>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -10,55 +9,25 @@ namespace pup::analysis {
 DigestRecorder::DigestRecorder(sim::Machine& machine)
     : machine_(machine),
       charged_(static_cast<std::size_t>(machine.nprocs())) {
-  prev_ = machine_.set_observer(this);
+  machine_.add_observer(this);
 }
 
-DigestRecorder::~DigestRecorder() { machine_.set_observer(prev_); }
+DigestRecorder::~DigestRecorder() { machine_.remove_observer(this); }
 
 void DigestRecorder::on_charge(int rank, sim::Category cat, double us) {
-  if (prev_ != nullptr) prev_->on_charge(rank, cat, us);
   charged_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(cat)] +=
       us;
 }
 
-void DigestRecorder::on_post(const sim::Message& m, sim::Category cat) {
-  if (prev_ != nullptr) prev_->on_post(m, cat);
-}
-void DigestRecorder::on_receive(int rank, const sim::Message& m) {
-  if (prev_ != nullptr) prev_->on_receive(rank, m);
-}
-void DigestRecorder::on_expire(const sim::Message& m) {
-  if (prev_ != nullptr) prev_->on_expire(m);
-}
-void DigestRecorder::on_collective_begin(const sim::CollectiveInfo& info) {
-  if (prev_ != nullptr) prev_->on_collective_begin(info);
-}
-void DigestRecorder::on_round_begin() {
-  if (prev_ != nullptr) prev_->on_round_begin();
-}
-void DigestRecorder::on_round_end() {
-  if (prev_ != nullptr) prev_->on_round_end();
-}
-void DigestRecorder::on_collective_end() {
-  if (prev_ != nullptr) prev_->on_collective_end();
-}
-void DigestRecorder::on_phase_begin(const char* name) {
-  if (prev_ != nullptr) prev_->on_phase_begin(name);
-}
-void DigestRecorder::on_phase_end(const char* name) {
-  if (prev_ != nullptr) prev_->on_phase_end(name);
+void DigestRecorder::on_event(sim::Event e) {
   // Mirror Machine::rollback_epoch for the recorder's own accumulators;
-  // see the class comment.  The machine emits the marker after acting, so
-  // the end annotation is the synchronization point.
-  if (std::strcmp(name, "epoch.checkpoint") == 0) {
+  // see the class comment.  The machine emits both events after acting.
+  if (e == sim::Event::kEpochCheckpoint) {
     epoch_charged_ = charged_;
     epoch_valid_ = true;
-  } else if (std::strcmp(name, "epoch.rollback") == 0 && epoch_valid_) {
+  } else if (e == sim::Event::kEpochRollback && epoch_valid_) {
     charged_ = epoch_charged_;
   }
-}
-void DigestRecorder::on_reset() {
-  if (prev_ != nullptr) prev_->on_reset();
 }
 
 TraceDigest DigestRecorder::digest() const {

@@ -45,17 +45,16 @@ struct TraceDigest {
 };
 
 /// Observer that accumulates the modeled time charges of a run; combined
-/// with the machine's Trace it yields the run's TraceDigest.  Forwards all
-/// events to a previously attached observer, so it stacks with (e.g.) a
-/// ProtocolValidator.
+/// with the machine's Trace it yields the run's TraceDigest.  It attaches
+/// alongside any other observers (say, a ProtocolValidator).
 ///
 /// Epoch rollback awareness: the machine's trace is restored by
 /// Machine::rollback_epoch, but the recorder's charge accumulators live
 /// outside the machine, so the recorder mirrors the same protocol -- it
-/// parks a copy of its accumulators on the paired "epoch.checkpoint"
-/// annotation and restores it on "epoch.rollback".  Without this, charges
-/// of an aborted, rolled-back attempt would stick to the digest and break
-/// the recovered-run == fault-free-run identity.
+/// parks a copy of its accumulators on Event::kEpochCheckpoint and
+/// restores it on Event::kEpochRollback.  Without this, charges of an
+/// aborted, rolled-back attempt would stick to the digest and break the
+/// recovered-run == fault-free-run identity.
 class DigestRecorder final : public sim::MachineObserver {
  public:
   explicit DigestRecorder(sim::Machine& machine);
@@ -68,23 +67,13 @@ class DigestRecorder final : public sim::MachineObserver {
   TraceDigest digest() const;
 
   void on_charge(int rank, sim::Category cat, double us) override;
-  void on_post(const sim::Message& m, sim::Category cat) override;
-  void on_receive(int rank, const sim::Message& m) override;
-  void on_expire(const sim::Message& m) override;
-  void on_collective_begin(const sim::CollectiveInfo& info) override;
-  void on_round_begin() override;
-  void on_round_end() override;
-  void on_collective_end() override;
-  void on_phase_begin(const char* name) override;
-  void on_phase_end(const char* name) override;
-  void on_reset() override;
+  void on_event(sim::Event e) override;
 
  private:
   sim::Machine& machine_;
-  sim::MachineObserver* prev_ = nullptr;
   std::vector<std::array<double, sim::kNumCategories>> charged_;
-  /// Accumulators parked at the last "epoch.checkpoint" marker; restored
-  /// on every "epoch.rollback" (empty = no checkpoint seen).
+  /// Accumulators parked at the last Event::kEpochCheckpoint; restored on
+  /// every Event::kEpochRollback (epoch_valid_ false = no checkpoint seen).
   std::vector<std::array<double, sim::kNumCategories>> epoch_charged_;
   bool epoch_valid_ = false;
 };

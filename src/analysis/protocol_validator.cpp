@@ -1,7 +1,6 @@
 #include "analysis/protocol_validator.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -19,24 +18,18 @@ bool ProtocolValidator::drain_relaxed(const sim::Message& m) {
   return reliability_exempt(m) || m.wire.delayed;
 }
 
-bool ProtocolValidator::event_marker(const char* name) {
-  return std::strncmp(name, "fault.", 6) == 0 ||
-         std::strncmp(name, "reliable.", 9) == 0 ||
-         std::strncmp(name, "epoch.", 6) == 0;
-}
-
 ProtocolValidator::ProtocolValidator(sim::Machine& machine,
                                      ValidatorOptions options)
     : machine_(machine),
       opts_(options),
       round_(static_cast<std::size_t>(machine.nprocs())) {
-  prev_ = machine_.set_observer(this);
+  machine_.add_observer(this);
 }
 
 ProtocolValidator::~ProtocolValidator() {
   in_destructor_ = true;  // never throw from a destructor
   finish();
-  machine_.set_observer(prev_);
+  machine_.remove_observer(this);
 }
 
 void ProtocolValidator::finish() {
@@ -121,8 +114,8 @@ void ProtocolValidator::check_no_delayed(const char* when) {
   violate("delayed-queue-leak", os.str());
 }
 
-void ProtocolValidator::on_post(const sim::Message& m, sim::Category cat) {
-  if (prev_ != nullptr) prev_->on_post(m, cat);
+void ProtocolValidator::on_post(const sim::Message& m,
+                                sim::Category /*cat*/) {
   ++stats_.posts;
   const bool relaxed = drain_relaxed(m);
   in_flight_[{m.src, m.dst, m.tag}].push_back(
@@ -172,7 +165,6 @@ void ProtocolValidator::on_post(const sim::Message& m, sim::Category cat) {
 }
 
 void ProtocolValidator::on_receive(int rank, const sim::Message& m) {
-  if (prev_ != nullptr) prev_->on_receive(rank, m);
   ++stats_.receives;
   const bool relaxed = drain_relaxed(m);
   auto it = in_flight_.find({m.src, m.dst, m.tag});
@@ -230,7 +222,6 @@ void ProtocolValidator::on_receive(int rank, const sim::Message& m) {
 }
 
 void ProtocolValidator::on_expire(const sim::Message& m) {
-  if (prev_ != nullptr) prev_->on_expire(m);
   // The machine discarded a delay-faulted message unreceived at the end of
   // the outermost scope; retire its in-flight record so the discard is not
   // misread as an orphaned message.
@@ -254,13 +245,12 @@ void ProtocolValidator::on_expire(const sim::Message& m) {
   --in_flight_count_;
 }
 
-void ProtocolValidator::on_charge(int rank, sim::Category cat, double us) {
-  if (prev_ != nullptr) prev_->on_charge(rank, cat, us);
+void ProtocolValidator::on_charge(int rank, sim::Category /*cat*/,
+                                  double us) {
   if (in_round_) round_[static_cast<std::size_t>(rank)].charged_us += us;
 }
 
 void ProtocolValidator::on_collective_begin(const sim::CollectiveInfo& info) {
-  if (prev_ != nullptr) prev_->on_collective_begin(info);
   ++stats_.collectives;
   check_no_inflight("cross-phase-leakage",
                     "when a new collective began");
@@ -269,7 +259,6 @@ void ProtocolValidator::on_collective_begin(const sim::CollectiveInfo& info) {
 }
 
 void ProtocolValidator::on_round_begin() {
-  if (prev_ != nullptr) prev_->on_round_begin();
   ++stats_.rounds;
   if (scopes_.empty()) {
     violate("round-outside-collective",
@@ -280,7 +269,6 @@ void ProtocolValidator::on_round_begin() {
 }
 
 void ProtocolValidator::on_round_end() {
-  if (prev_ != nullptr) prev_->on_round_end();
   // A synchronized round must fully drain: a message still in flight was
   // either orphaned or is a wrong-round exchange.  Reliability/fault
   // traffic may straddle rounds (non-strict); the collective-end drain
@@ -304,7 +292,6 @@ void ProtocolValidator::on_round_end() {
 }
 
 void ProtocolValidator::on_collective_end() {
-  if (prev_ != nullptr) prev_->on_collective_end();
   if (scopes_.empty()) {
     violate("unbalanced-collective-scope",
             "collective end without a matching begin");
@@ -317,29 +304,24 @@ void ProtocolValidator::on_collective_end() {
 }
 
 void ProtocolValidator::on_phase_begin(const char* name) {
-  if (prev_ != nullptr) prev_->on_phase_begin(name);
   ++stats_.phases;
   phases_.push_back(name);
-  // fault.* / reliable.* / epoch.* pairs are event markers emitted
-  // mid-round while legitimate messages are in flight; they are not phase
-  // boundaries.
-  if (!event_marker(name)) {
-    check_no_inflight("cross-phase-leakage", "when a phase began");
-    check_no_delayed("when a phase began");
-  }
+  check_no_inflight("cross-phase-leakage", "when a phase began");
+  check_no_delayed("when a phase began");
 }
 
-void ProtocolValidator::on_phase_end(const char* name) {
-  if (prev_ != nullptr) prev_->on_phase_end(name);
+void ProtocolValidator::on_phase_end(const char* /*name*/) {
   if (!phases_.empty()) phases_.pop_back();
-  // Epoch markers arrive *after* the machine has acted (captured or
-  // restored its state), so the validator mirrors at the end annotation,
-  // once its own phase stack no longer holds the marker.
-  if (std::strcmp(name, "epoch.checkpoint") == 0) {
+}
+
+void ProtocolValidator::on_event(sim::Event e) {
+  // Epoch events arrive *after* the machine has acted (captured or
+  // restored its state), so the validator mirrors it here.
+  if (e == sim::Event::kEpochCheckpoint) {
     epoch_ = EpochSnapshot{in_flight_,  in_flight_count_, in_flight_relaxed_,
                            scopes_,     phases_,          in_round_,
                            round_,      violations_};
-  } else if (std::strcmp(name, "epoch.rollback") == 0) {
+  } else if (e == sim::Event::kEpochRollback) {
     if (epoch_.has_value()) {
       in_flight_ = epoch_->in_flight;
       in_flight_count_ = epoch_->in_flight_count;
@@ -358,7 +340,6 @@ void ProtocolValidator::on_phase_end(const char* name) {
 }
 
 void ProtocolValidator::on_reset() {
-  if (prev_ != nullptr) prev_->on_reset();
   check_no_inflight("cross-phase-leakage", "when accounting was reset");
   check_no_delayed("when accounting was reset");
 }

@@ -33,18 +33,18 @@
 // exempt from round cardinality, tag discipline (NAKs only), and cost
 // conformance, and they may linger past a round's end (the reliable layer's
 // collective-end drain sweeps them, so collective/phase/reset boundaries
-// stay strict).  Paired "fault.*" / "reliable.*" / "epoch.*" phase
-// annotations are event markers emitted mid-round and do not trigger the
+// stay strict).  Point events (sim::Event: fault.*, reliable.*, epoch.*,
+// plan.cache.*, service.*) are not phases and never trigger the
 // cross-phase leakage check.  Everything else is validated as strictly as
 // ever, so a validated run under an arbitrary fault schedule still proves
 // the recovery protocol drains and charges honestly.
 //
 // Epoch rollback awareness: the recovery layer (plan/resilient.hpp) rolls
 // the machine back to an entry checkpoint when an operation fails mid-
-// flight.  The validator mirrors that: on the paired "epoch.checkpoint"
-// annotation it snapshots its own protocol state (in-flight records, open
-// scopes, round state, recorded violations) and on "epoch.rollback" it
-// restores the snapshot, so sends and receives of the aborted epoch --
+// flight.  The validator mirrors that: on Event::kEpochCheckpoint it
+// snapshots its own protocol state (in-flight records, open scopes, round
+// state, recorded violations) and on Event::kEpochRollback it restores
+// the snapshot, so sends and receives of the aborted epoch --
 // including the spurious "orphaned at end of collective" records produced
 // while scope guards unwind through the exception -- no longer count
 // toward drain or charge conformance.  The snapshot survives any number of
@@ -52,7 +52,7 @@
 //
 // Delayed-queue hygiene: a delay-faulted message still held by the machine
 // at a cross-phase boundary would leak into the next operation, so at
-// every strict boundary (new collective, non-marker phase, reset, finish)
+// every strict boundary (new collective, phase begin, reset, finish)
 // the validator also checks Machine::delayed_pending() == 0
 // ("delayed-queue-leak").  The machine's own end-of-scope drain expires
 // leftovers and reports each through on_expire, which retires the
@@ -137,6 +137,7 @@ class ProtocolValidator final : public sim::MachineObserver {
   void on_collective_end() override;
   void on_phase_begin(const char* name) override;
   void on_phase_end(const char* name) override;
+  void on_event(sim::Event e) override;
   void on_reset() override;
 
  private:
@@ -193,13 +194,9 @@ class ProtocolValidator final : public sim::MachineObserver {
   /// Additionally covers delay-released copies, which are posted as normal
   /// round traffic but may be received later.
   static bool drain_relaxed(const sim::Message& m);
-  /// fault.* / reliable.* / epoch.* annotations are mid-round event
-  /// markers, not phase boundaries.
-  static bool event_marker(const char* name);
 
   sim::Machine& machine_;
   ValidatorOptions opts_;
-  sim::MachineObserver* prev_ = nullptr;
   bool finished_ = false;
   bool in_destructor_ = false;
 
@@ -216,8 +213,8 @@ class ProtocolValidator final : public sim::MachineObserver {
 
   std::vector<Violation> violations_;
   ValidatorStats stats_;
-  /// State parked at the last "epoch.checkpoint" marker; restored on every
-  /// "epoch.rollback".
+  /// State parked at the last Event::kEpochCheckpoint; restored on every
+  /// Event::kEpochRollback.
   std::optional<EpochSnapshot> epoch_;
 };
 

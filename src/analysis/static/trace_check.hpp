@@ -39,7 +39,7 @@
 namespace pup::analysis::statics {
 
 /// Observer that records the communication structure of one execution.
-/// Attach via Machine::set_observer before executing the plan; the
+/// Attach via Machine::add_observer before executing the plan; the
 /// recording accumulates until reset().
 class ScheduleRecorder final : public sim::MachineObserver {
  public:

@@ -224,10 +224,6 @@ class ReliableTransport {
   /// frames (charged tau + mu*m at both endpoints).
   void service_naks(sim::Machine& m, int sender, sim::Category cat);
   static bool intact(const sim::Message& msg);
-  static void annotate_event(sim::Machine& m, const char* name) {
-    m.annotate_phase_begin(name);
-    m.annotate_phase_end(name);
-  }
 
   std::optional<bool> forced_;
   std::optional<bool> env_;  ///< PUP_RELIABLE at construction

@@ -3,8 +3,16 @@
 //
 // Local storage is row-major over the processor's local shape, tile-major
 // within each dimension (see BlockCyclicDim).  scatter()/gather() move data
-// between a global host buffer and the distributed representation; they are
-// test/verification utilities and charge no simulated time.
+// between a global host buffer and the distributed representation.
+//
+// Contract for scatter()/gather(): they are on the serving hot path (the
+// service layer gathers every request's result to digest it), so callers
+// must know their cost.  They charge no modeled time -- the data movement
+// is host-side, outside the simulated machine -- and each call does O(N)
+// host-side index math for an N-element array: one owner and one local
+// offset computation per element, each O(rank) in the array's rank and
+// each allocating small index vectors.  That cost lands in real wall-clock
+// latency, never in modeled time or digests.
 #pragma once
 
 #include <span>
@@ -92,8 +100,9 @@ class DistArray {
   static Distribution::Placement place_cached(const Distribution& d,
                                               std::span<const index_t> gidx) {
     const int owner = d.owner(gidx);
-    // local_linear recomputes the owner internally; acceptable for the
-    // host-side utility paths.
+    // local_linear recomputes the owner internally, so every element pays
+    // the owner math twice; this is part of the per-call O(N) cost that
+    // the scatter()/gather() contract above states.
     return Distribution::Placement{owner, d.local_linear(gidx)};
   }
 

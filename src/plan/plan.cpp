@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/instrumentation.hpp"
+
 namespace pup::plan {
 namespace {
 
@@ -59,7 +61,7 @@ PackPlan compile_pack_plan(sim::Machine& machine,
     PUP_REQUIRE(result_dist->rank() == 1,
                 "PACK result layout must be rank one");
   }
-  machine.annotate_phase_begin("plan.compile");
+  sim::PhaseScope phase(machine, "plan.compile");
   PackPlan plan;
   plan.dist = dist;
   plan.schedule =
@@ -68,7 +70,6 @@ PackPlan compile_pack_plan(sim::Machine& machine,
   plan.result_dist = std::move(result_dist);
   plan.elem_width = elem_width;
   plan.key = pack_plan_key(dist, elem_width, options, plan.result_dist);
-  machine.annotate_phase_end("plan.compile");
   return plan;
 }
 
@@ -83,7 +84,7 @@ UnpackPlan compile_unpack_plan(sim::Machine& machine,
   PUP_REQUIRE(elem_width > 0, "element width must be positive");
   PUP_REQUIRE(vector_dist.rank() == 1,
               "UNPACK input vector layout must be rank one");
-  machine.annotate_phase_begin("plan.compile");
+  sim::PhaseScope phase(machine, "plan.compile");
   UnpackPlan plan;
   plan.dist = mask_dist;
   plan.vector_dist = vector_dist;
@@ -92,7 +93,6 @@ UnpackPlan compile_unpack_plan(sim::Machine& machine,
   plan.options = options;
   plan.elem_width = elem_width;
   plan.key = unpack_plan_key(mask_dist, vector_dist, elem_width, options);
-  machine.annotate_phase_end("plan.compile");
   return plan;
 }
 

@@ -11,13 +11,11 @@ PlanCache::Entry* PlanCache::touch(sim::Machine& machine,
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    machine.annotate_phase_begin("plan.cache.miss");
-    machine.annotate_phase_end("plan.cache.miss");
+    machine.annotate_event(sim::Event::kPlanCacheMiss);
     return nullptr;
   }
   ++stats_.hits;
-  machine.annotate_phase_begin("plan.cache.hit");
-  machine.annotate_phase_end("plan.cache.hit");
+  machine.annotate_event(sim::Event::kPlanCacheHit);
   entries_.splice(entries_.begin(), entries_, it->second);
   it->second = entries_.begin();
   entries_.begin()->last_used = stats_.lookups;
@@ -27,8 +25,7 @@ PlanCache::Entry* PlanCache::touch(sim::Machine& machine,
 void PlanCache::insert(sim::Machine& machine, Entry entry) {
   while (entries_.size() >= capacity_) {
     auto last = std::prev(entries_.end());
-    machine.annotate_phase_begin("plan.cache.evict");
-    machine.annotate_phase_end("plan.cache.evict");
+    machine.annotate_event(sim::Event::kPlanCacheEvict);
     ++stats_.evictions;
     const std::int64_t age = stats_.lookups - last->last_used;
     stats_.last_eviction_age = age;
@@ -89,8 +86,7 @@ std::size_t PlanCache::invalidate(sim::Machine& machine,
     // source layout: a redistribution invalidates plans whose pinned pack
     // result or unpack vector layout named the old distribution too.
     if (it->references(dist)) {
-      machine.annotate_phase_begin("plan.cache.invalidate");
-      machine.annotate_phase_end("plan.cache.invalidate");
+      machine.annotate_event(sim::Event::kPlanCacheInvalidate);
       index_.erase(it->key);
       it = entries_.erase(it);
       ++dropped;
@@ -105,8 +101,7 @@ std::size_t PlanCache::invalidate(sim::Machine& machine,
 void PlanCache::clear(sim::Machine& machine) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    machine.annotate_phase_begin("plan.cache.invalidate");
-    machine.annotate_phase_end("plan.cache.invalidate");
+    machine.annotate_event(sim::Event::kPlanCacheInvalidate);
   }
   stats_.invalidations += static_cast<std::int64_t>(entries_.size());
   entries_.clear();

@@ -4,10 +4,9 @@
 // width, scheme, PRS/M2M algorithm).  A hit returns the cached immutable
 // plan (shared_ptr, so in-flight executions survive eviction and
 // invalidation); a miss compiles and inserts, evicting the least recently
-// used entry beyond capacity.  Cache events are surfaced through the
-// machine's MachineObserver hooks as paired phase annotations
-// ("plan.cache.hit" / "plan.cache.miss" / "plan.cache.evict" /
-// "plan.cache.invalidate"), alongside the counters in Stats.
+// used entry beyond capacity.  Cache events reach the machine's observers
+// as typed point events (sim::Event::kPlanCacheHit / kPlanCacheMiss /
+// kPlanCacheEvict / kPlanCacheInvalidate), alongside the counters in Stats.
 //
 // Plans describe Distribution *values*, not storage locations: when an
 // array is redistributed to a new layout, plans compiled against the old
@@ -19,10 +18,9 @@
 // Thread safety: every public operation is serialized on one internal
 // mutex, so invalidate()/clear() may race lookups (and each other) from
 // other threads without corrupting the LRU list/index or tearing Stats.
-// Cache annotations are emitted while the cache mutex is held and rely on
-// the machine's own observer serialization, matching the discipline of
-// every other annotation source -- observers see a sequential event
-// stream, never interleaved halves of two cache operations.  Note the
+// Cache events are emitted while the cache mutex is held and rely on the
+// machine's own observer serialization, matching the discipline of every
+// other event source -- observers see a sequential event stream.  Note the
 // compile-on-miss path drives the machine's collectives, which remain
 // schedule-thread-only; concurrency is for metadata operations
 // (invalidate/clear/size/stats), not for racing two compiles on one
@@ -83,11 +81,11 @@ class PlanCache {
   /// Drops every plan that references `dist` through any distribution in
   /// its key -- source (mask/array) layout, pinned pack result layout, or
   /// unpack vector layout.  Call after redistributing an array away from
-  /// `dist`.  Emits one paired "plan.cache.invalidate" annotation per
-  /// dropped plan; returns the number dropped.
+  /// `dist`.  Emits one Event::kPlanCacheInvalidate per dropped plan;
+  /// returns the number dropped.
   std::size_t invalidate(sim::Machine& machine, const dist::Distribution& dist);
 
-  /// Drops everything, with the same per-entry annotation and counter
+  /// Drops everything, with the same per-entry event and counter
   /// behavior as invalidate().
   void clear(sim::Machine& machine);
 
@@ -130,8 +128,7 @@ class PlanCache {
   using EntryList = std::list<Entry>;
 
   /// Moves the entry to the front (most recently used) and returns it, or
-  /// nullptr on miss.  Emits the hit/miss annotation pair.  Caller holds
-  /// mu_.
+  /// nullptr on miss.  Emits the hit/miss event.  Caller holds mu_.
   Entry* touch(sim::Machine& machine, const PlanKey& key);
   /// Caller holds mu_.
   void insert(sim::Machine& machine, Entry entry);

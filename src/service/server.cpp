@@ -238,14 +238,12 @@ void Server::note_queue_wait_locked(double wait_us) {
   if (!brownout_ && p95 > options_.brownout_p95_us) {
     brownout_ = true;
     ++stats_.brownouts;
-    machine_.annotate_phase_begin("service.brownout.enter");
-    machine_.annotate_phase_end("service.brownout.enter");
+    machine_.annotate_event(sim::Event::kServiceBrownoutEnter);
   } else if (brownout_ && p95 < options_.brownout_p95_us / 2.0) {
     // Hysteresis: fusion resumes only once the p95 has clearly recovered,
     // so the window does not flap around the bound.
     brownout_ = false;
-    machine_.annotate_phase_begin("service.brownout.exit");
-    machine_.annotate_phase_end("service.brownout.exit");
+    machine_.annotate_event(sim::Event::kServiceBrownoutExit);
   }
 }
 
@@ -596,11 +594,11 @@ void Server::execute(std::vector<Pending> batch) {
         cache_hit = cache_.stats().hits > before.hits;
         // Per-request cache attribution, observer-visible alongside the
         // cache's own plan.cache.* events.
-        const char* cache_phase =
-            cache_hit ? "service.cache.hit" : "service.cache.miss";
+        const sim::Event cache_event = cache_hit
+                                           ? sim::Event::kServiceCacheHit
+                                           : sim::Event::kServiceCacheMiss;
         for (std::size_t i = 0; i < n; ++i) {
-          machine_.annotate_phase_begin(cache_phase);
-          machine_.annotate_phase_end(cache_phase);
+          machine_.annotate_event(cache_event);
         }
         sim::PhaseScope phase(machine_, "service.execute");
         if (n == 1) {
@@ -632,10 +630,8 @@ void Server::execute(std::vector<Pending> batch) {
                                        batch.front().vector.dist(),
                                        sizeof(Element), opt);
         cache_hit = cache_.stats().hits > before.hits;
-        const char* cache_phase =
-            cache_hit ? "service.cache.hit" : "service.cache.miss";
-        machine_.annotate_phase_begin(cache_phase);
-        machine_.annotate_phase_end(cache_phase);
+        machine_.annotate_event(cache_hit ? sim::Event::kServiceCacheHit
+                                          : sim::Event::kServiceCacheMiss);
         sim::PhaseScope phase(machine_, "service.execute");
         auto result = exec_.unpack<Element>(*plan, batch[0].vector,
                                             batch[0].mask, *batch[0].array);
@@ -656,12 +652,10 @@ void Server::execute(std::vector<Pending> batch) {
     if (trip != sim::StopCause::kNone) {
       // Observer-visible trip marker (the machine has been rolled back to
       // the dispatch entry, so the event sits at a consistent cut).
-      const char* event =
-          trip == sim::StopCause::kWatchdog    ? "service.watchdog.trip"
-          : trip == sim::StopCause::kDeadline  ? "service.deadline.miss"
-                                               : "service.cancelled";
-      machine_.annotate_phase_begin(event);
-      machine_.annotate_phase_end(event);
+      machine_.annotate_event(
+          trip == sim::StopCause::kWatchdog   ? sim::Event::kServiceWatchdogTrip
+          : trip == sim::StopCause::kDeadline ? sim::Event::kServiceDeadlineMiss
+                                              : sim::Event::kServiceCancelled);
     }
 
     const std::lock_guard<std::mutex> lock(mu_);

@@ -32,9 +32,8 @@
 //   * Shared PlanCache: one cache serves all tenants, so tenant B's
 //     traffic warms tenant A's plans.  Each lookup is attributed to every
 //     request it served (TenantStats::cache_hits/misses) and surfaced to
-//     observers as a paired "service.cache.hit"/"service.cache.miss"
-//     annotation per request, alongside the cache's own plan.cache.*
-//     events.
+//     observers as one Event::kServiceCacheHit/kServiceCacheMiss per
+//     request, alongside the cache's own plan.cache.* events.
 //
 //   * Resilient execution: every dispatch runs through a
 //     plan::ResilientExecutor under Options::recovery, so a fault plan

@@ -58,10 +58,10 @@
 // spec -- an env-driven typo must fail loudly and precisely, not run a
 // silently fault-free experiment.
 //
-// Every injected event is reported through the MachineObserver as a paired
-// phase annotation ("fault.drop", "fault.duplicate", "fault.delay",
-// "fault.truncate", "fault.kill", "fault.dead", "fault.delay.expired") so
-// validators and traces can see exactly where the schedule fired.
+// Every injection is reported to the machine's observers as a typed point
+// event (sim::Event::kFaultDrop, kFaultDuplicate, kFaultDelay,
+// kFaultTruncate, kFaultKill, kFaultDead, kFaultDelayExpired) so validators
+// and traces can see exactly where the schedule fired.
 // Injection alone provides no recovery: run the collectives with the
 // reliable layer (coll/reliable.hpp) or a lost message becomes a
 // ContractError at the next required receive; a killed rank additionally

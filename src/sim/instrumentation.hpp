@@ -3,9 +3,11 @@
 // A MachineObserver receives every transport event (post, receive, modeled
 // charge) plus *annotations*: collectives declare a scope with their allowed
 // tags and round discipline, round-synchronized schedules bracket each round,
-// and algorithm stages bracket named phases.  The default implementation of
-// every hook is a no-op, and a machine without an observer pays only a null
-// check per event, so production runs are unaffected.
+// and algorithm stages bracket named phases.  (Point events -- faults,
+// epochs, cache lookups -- need no scope: Machine::annotate_event.)  The
+// default implementation of every hook is a no-op, and a machine without
+// observers pays only an emptiness check per event, so production runs are
+// unaffected.
 //
 // The annotations are emitted by the library itself (coll/ wraps every
 // collective, core/ names its algorithm phases, Machine::local_phase marks
@@ -65,7 +67,8 @@ class RoundScope {
 
 /// RAII annotation for a named algorithm phase (e.g. "pack.compose").  The
 /// `name` pointer must outlive the scope; string literals are the intended
-/// use.
+/// use.  This is the only way to open a phase outside the Machine, so every
+/// phase begin has its end by construction.
 class PhaseScope {
  public:
   PhaseScope(Machine& m, const char* name) : machine_(m), name_(name) {

@@ -70,10 +70,10 @@ void Machine::post(Message m, Category cat) {
     const FaultEvent ev = faults_->decide(m, annotation_stack_);
     if (ev.killed_rank >= 0) {
       // A kill rule's countdown expired on this post: the rank is dead
-      // from this moment on (fail-stop).  The annotation is the only
-      // externally visible record of the death itself; detection is the
-      // reliable layer's heartbeat timeout.
-      annotate_event("fault.kill");
+      // from this moment on (fail-stop).  The event is the only externally
+      // visible record of the death itself; detection is the reliable
+      // layer's heartbeat timeout.
+      annotate_event(Event::kFaultKill);
     }
     switch (ev.action) {
       case FaultAction::kDeliver:
@@ -82,15 +82,15 @@ void Machine::post(Message m, Category cat) {
         // The sender is dead: the message never reaches the network.
         // Like a drop it is neither traced nor observed, so peers only
         // notice through missing frames.
-        annotate_event("fault.dead");
+        annotate_event(Event::kFaultDead);
         return;
       case FaultAction::kDrop:
         // The message vanishes in the network: never traced, never shown
         // to the observer as a post, never delivered.
-        annotate_event("fault.drop");
+        annotate_event(Event::kFaultDrop);
         return;
       case FaultAction::kDuplicate: {
-        annotate_event("fault.duplicate");
+        annotate_event(Event::kFaultDuplicate);
         Message copy = m;
         copy.wire.duplicate = true;
         deliver(std::move(m), cat);
@@ -100,13 +100,13 @@ void Machine::post(Message m, Category cat) {
       case FaultAction::kDelay:
         // The post happens now (traced and observed) but the network holds
         // the message for ev.delay_ticks receive calls.
-        annotate_event("fault.delay");
+        annotate_event(Event::kFaultDelay);
         m.wire.delayed = true;
         record_post(m, cat);
         delayed_.push_back(DelayedMessage{std::move(m), ev.delay_ticks});
         return;
       case FaultAction::kTruncate:
-        annotate_event("fault.truncate");
+        annotate_event(Event::kFaultTruncate);
         m.wire.truncated = true;
         if (m.wire.orig_bytes == 0) m.wire.orig_bytes = m.payload.size();
         m.payload.resize(ev.truncate_to);
@@ -123,10 +123,7 @@ void Machine::deliver(Message m, Category cat) {
 
 void Machine::record_post(const Message& m, Category cat) {
   trace_.record_message(m.src, m.dst, m.size_bytes(), cat);
-  if (observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_post(m, cat);
-  }
+  notify([&](MachineObserver& o) { o.on_post(m, cat); });
 }
 
 void Machine::tick_delayed() {
@@ -158,19 +155,16 @@ std::unique_ptr<FaultPlan> Machine::take_fault_plan() {
 }
 
 void Machine::expire_delayed() {
-  // Swap the queue out first: the annotations below re-enter the
-  // annotation machinery and must see an empty queue.
+  // Swap the queue out first so an observer that throws (a fail-fast
+  // validator) cannot leave expired messages behind.
   std::deque<DelayedMessage> expired;
   expired.swap(delayed_);
   if (faults_ != nullptr) {
     faults_->note_expired(static_cast<std::int64_t>(expired.size()));
   }
-  for (auto& d : expired) {
-    annotate_event("fault.delay.expired");
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_expire(d.m);
-    }
+  for (const auto& d : expired) {
+    annotate_event(Event::kFaultDelayExpired);
+    notify([&](MachineObserver& o) { o.on_expire(d.m); });
   }
 }
 
@@ -200,9 +194,9 @@ std::shared_ptr<const EpochCheckpoint> Machine::checkpoint_epoch() {
               "cloner");
     cp->reliable = reliable_cloner_(reliable_state_.get());
   }
-  // Emitted after capture so an observer's own snapshot (taken on the
-  // paired end annotation) corresponds to the captured machine state.
-  annotate_event("epoch.checkpoint");
+  // Emitted after capture so an observer's own snapshot corresponds to the
+  // captured machine state.
+  annotate_event(Event::kEpochCheckpoint);
   return cp;
 }
 
@@ -235,14 +229,14 @@ void Machine::rollback_epoch(const EpochCheckpoint& cp) {
   }
   ++epochs_rolled_back_;
   // Emitted after the restore so observers resync against restored state.
-  annotate_event("epoch.rollback");
+  annotate_event(Event::kEpochRollback);
 }
 
 void Machine::mark_epoch_boundary() {
   ++epoch_boundaries_;
-  annotate_event("epoch.boundary");
+  annotate_event(Event::kEpochBoundary);
   // Boundary = consistent cut = safe throw point.  The poll runs after the
-  // boundary's own (paired) annotation so a trip never leaves it half-open.
+  // boundary event, so observers see the cut before any trip.
   poll_cancellation();
 }
 
@@ -250,10 +244,10 @@ void Machine::poll_cancellation_slow() {
   const double elapsed_us = modeled_total_us() - cancel_entry_us_;
   const StopCause cause = cancel_token_->tripped(elapsed_us);
   if (cause == StopCause::kNone) return;
-  // The paired trip event fires before the throw so observers see why the
+  // The trip event fires before the throw so observers see why the
   // operation is about to unwind; the token is removed so the rollback /
   // drain code the exception runs through cannot re-trip.
-  annotate_event("cancel.trip");
+  annotate_event(Event::kCancelTrip);
   set_cancel_token(nullptr);
   throw CancelError(
       cause, std::string("operation stopped at round boundary: ") +
@@ -265,9 +259,8 @@ std::optional<Message> Machine::receive(int rank, int src, int tag) {
   PUP_REQUIRE(rank >= 0 && rank < nprocs_, "bad rank " << rank);
   tick_delayed();
   auto m = backend_->dequeue(rank, src, tag);
-  if (m.has_value() && observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_receive(rank, *m);
+  if (m.has_value()) {
+    notify([&](MachineObserver& o) { o.on_receive(rank, *m); });
   }
   return m;
 }
@@ -299,10 +292,7 @@ double Machine::max_total_us() const {
 void Machine::reset_accounting() {
   PUP_CHECK(mailboxes_empty(),
             "reset_accounting with undelivered messages in flight");
-  if (observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_reset();
-  }
+  notify([](MachineObserver& o) { o.on_reset(); });
   for (auto& t : times_) t.reset();
   trace_.reset();
   std::fill(modeled_us_.begin(), modeled_us_.end(), 0.0);

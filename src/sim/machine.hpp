@@ -27,8 +27,9 @@
 //
 // Collectives and the transport (post/receive/charge) always run on the
 // calling thread, outside any parallel region.  Observer callbacks are
-// serialized through an internal mutex, so an attached ProtocolValidator or
-// DigestRecorder needs no locking of its own under either policy.
+// serialized through an internal mutex, so attached observers (say, a
+// ProtocolValidator and a DigestRecorder side by side) need no locking of
+// their own under either policy.
 //
 // The message data path and the local-phase execution engine live behind a
 // backend::Backend (backend/backend.hpp): SimBackend is the historical
@@ -141,7 +142,7 @@ class Machine {
   /// local-phase body; tools/lint.py bans transport above coll/).  When a
   /// fault plan is installed (set_fault_plan / PUP_FAULTS), injection
   /// happens here: the message may be dropped, duplicated, delayed, or
-  /// truncated, with a paired fault.* annotation for every injected event.
+  /// truncated, with a fault.* event (sim::Event) for every injection.
   void post(Message m, Category cat);
 
   /// Receives the first queued message matching (src, tag) at `rank`.
@@ -185,20 +186,19 @@ class Machine {
 
   /// Captures the machine's modeled state (mailboxes, clocks, trace,
   /// delayed queue, reliable-transport channel state, modeled-charge
-  /// totals) into an immutable snapshot and emits a paired
-  /// "epoch.checkpoint" annotation.  The fault plan is deliberately NOT
-  /// captured (see sim/epoch.hpp).  O(state); free of modeled cost.
+  /// totals) into an immutable snapshot and emits Event::kEpochCheckpoint.
+  /// The fault plan is deliberately NOT captured (see sim/epoch.hpp).
+  /// O(state); free of modeled cost.
   std::shared_ptr<const EpochCheckpoint> checkpoint_epoch();
 
-  /// Restores the machine to `cp` bit for bit and emits a paired
-  /// "epoch.rollback" annotation (after the restore, so observers resync
-  /// against the restored state).  A checkpoint survives any number of
-  /// rollbacks.
+  /// Restores the machine to `cp` bit for bit and emits
+  /// Event::kEpochRollback (after the restore, so observers resync against
+  /// the restored state).  A checkpoint survives any number of rollbacks.
   void rollback_epoch(const EpochCheckpoint& cp);
 
   /// Marks a PRS-round epoch boundary: a consistent cut where a rolled-
-  /// back re-execution may resynchronize.  Emits a paired "epoch.boundary"
-  /// annotation and counts it; no modeled cost, no state change.
+  /// back re-execution may resynchronize.  Emits Event::kEpochBoundary and
+  /// counts it; no modeled cost, no state change.
   void mark_epoch_boundary();
 
   std::int64_t epochs_checkpointed() const { return epochs_checkpointed_; }
@@ -269,10 +269,7 @@ class Machine {
   void charge(int rank, Category cat, double us) {
     times_[static_cast<std::size_t>(rank)][cat] += us;
     modeled_us_[static_cast<std::size_t>(rank)] += us;
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_charge(rank, cat, us);
-    }
+    notify([&](MachineObserver& o) { o.on_charge(rank, cat, us); });
   }
 
   /// Modeled time for a message of `bytes` between two ranks under the
@@ -308,72 +305,76 @@ class Machine {
 
   // --- instrumentation --------------------------------------------------
 
-  /// Attaches an observer (non-owning; nullptr detaches).  Returns the
-  /// previously attached observer so instrumentation can nest and restore.
-  /// Must not be called while a local phase is running.
-  MachineObserver* set_observer(MachineObserver* obs) {
-    MachineObserver* prev = observer_;
-    observer_ = obs;
-    return prev;
+  /// Attaches an observer (non-owning).  Every attached observer sees
+  /// every hook, in attach order, so an earlier observer has seen an event
+  /// before a later fail-fast validator throws on it.  Must not be called
+  /// while a local phase is running.
+  void add_observer(MachineObserver* obs) {
+    PUP_REQUIRE(obs != nullptr, "cannot attach a null observer");
+    observers_.push_back(obs);
   }
-  MachineObserver* observer() const { return observer_; }
+  /// Detaches `obs` (in any order); the others stay attached.
+  void remove_observer(MachineObserver* obs) {
+    std::erase(observers_, obs);
+  }
 
-  /// Annotation entry points, forwarded to the observer when attached.
+  /// Annotation entry points, forwarded to every attached observer.
   /// Library code emits these through the RAII scopes of
   /// sim/instrumentation.hpp rather than calling them directly.  All
   /// forwarding is serialized through one mutex, so observers see a
   /// sequential event stream under either execution policy.
   void annotate_collective_begin(const CollectiveInfo& info) {
     if (faults_ != nullptr) annotation_stack_.emplace_back(info.name);
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_collective_begin(info);
-    }
+    notify([&](MachineObserver& o) { o.on_collective_begin(info); });
   }
   void annotate_collective_end() {
     if (faults_ != nullptr && !annotation_stack_.empty()) {
       annotation_stack_.pop_back();
     }
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_collective_end();
-    }
+    notify([](MachineObserver& o) { o.on_collective_end(); });
     maybe_expire_delayed();
   }
   void annotate_round_begin() {
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_round_begin();
-    }
+    notify([](MachineObserver& o) { o.on_round_begin(); });
   }
   void annotate_round_end() {
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_round_end();
-    }
+    notify([](MachineObserver& o) { o.on_round_end(); });
     // Every synchronized round boundary is the backend's chance to fence
     // its transport (no-op for the simulator).
     backend_->round_barrier();
   }
+
+  /// Reports a point event.  Unlike a phase it opens no annotation scope
+  /// and never triggers the end-of-scope delayed-queue drain.
+  void annotate_event(Event e) {
+    notify([e](MachineObserver& o) { o.on_event(e); });
+  }
+
+ private:
+  // Phases open and close only through the RAII PhaseScope (and
+  // local_phase), so every begin has its end by construction.
+  friend class PhaseScope;
   void annotate_phase_begin(const char* name) {
     if (faults_ != nullptr) annotation_stack_.emplace_back(name);
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_phase_begin(name);
-    }
+    notify([name](MachineObserver& o) { o.on_phase_begin(name); });
   }
   void annotate_phase_end(const char* name) {
     if (faults_ != nullptr && !annotation_stack_.empty()) {
       annotation_stack_.pop_back();
     }
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_phase_end(name);
-    }
+    notify([name](MachineObserver& o) { o.on_phase_end(name); });
     maybe_expire_delayed();
   }
 
- private:
+  /// Calls `hook` on every attached observer, in attach order, under the
+  /// observer mutex.
+  template <typename Hook>
+  void notify(const Hook& hook) {
+    if (observers_.empty()) return;
+    const std::lock_guard<std::mutex> lock(observer_mu_);
+    for (MachineObserver* obs : observers_) hook(*obs);
+  }
+
   /// A delay-faulted message waiting in the network; released into the
   /// destination mailbox after `ticks` receive calls (or by
   /// flush_delayed()).
@@ -388,7 +389,7 @@ class Machine {
   void parallel_ranks(const std::function<void(int)>& fn);
 
   /// Slow path of poll_cancellation(): evaluates the token and throws
-  /// CancelError on a trip (after emitting a paired "cancel.trip" event).
+  /// CancelError on a trip (after emitting Event::kCancelTrip).
   void poll_cancellation_slow();
 
   /// Trace + observer + mailbox delivery for one message (the fault-free
@@ -403,24 +404,15 @@ class Machine {
   /// Discards delay-faulted messages still queued when the outermost
   /// annotation scope closes: a delayed message the operation never
   /// received must not leak into the next operation.  Each discarded
-  /// message is reported via MachineObserver::on_expire plus a paired
-  /// "fault.delay.expired" annotation.
+  /// message is reported via Event::kFaultDelayExpired plus
+  /// MachineObserver::on_expire.
   void maybe_expire_delayed() {
-    if (faults_ != nullptr && !in_event_annotation_ &&
-        annotation_stack_.empty() && !delayed_.empty()) {
+    if (faults_ != nullptr && annotation_stack_.empty() &&
+        !delayed_.empty()) {
       expire_delayed();
     }
   }
   void expire_delayed();
-  /// Emits a paired fault.*/epoch.* phase annotation.  The guard keeps the
-  /// event's own end annotation from re-triggering the end-of-scope
-  /// delayed-queue drain.
-  void annotate_event(const char* name) {
-    in_event_annotation_ = true;
-    annotate_phase_begin(name);
-    annotate_phase_end(name);
-    in_event_annotation_ = false;
-  }
 
   int nprocs_;
   CostModel cost_;
@@ -429,7 +421,7 @@ class Machine {
   std::unique_ptr<backend::Backend> backend_;
   std::vector<TimeBreakdown> times_;
   Trace trace_;
-  MachineObserver* observer_ = nullptr;
+  std::vector<MachineObserver*> observers_;
   std::mutex observer_mu_;
   bool in_parallel_phase_ = false;
   std::unique_ptr<FaultPlan> faults_;
@@ -437,7 +429,6 @@ class Machine {
   /// Open collective/phase annotation names, maintained only while a fault
   /// plan is installed (FaultRule phase scoping needs it).
   std::vector<std::string> annotation_stack_;
-  bool in_event_annotation_ = false;
   std::shared_ptr<void> reliable_state_;
   ReliableCloner reliable_cloner_;
   /// Modeled charges per rank (charge() only; no wall-clock), summed by

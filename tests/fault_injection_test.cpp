@@ -6,7 +6,7 @@
 //     ticks, truncate halves the payload and records the original size);
 //   * rule scoping by src/dst/tag and by open annotation scope;
 //   * bit-for-bit schedule reproducibility for a fixed seed;
-//   * paired fault.* annotations reaching the MachineObserver.
+//   * typed fault.* events reaching the MachineObserver.
 //
 // Every machine here installs its fault plan explicitly (or none), so the
 // tests are immune to the PUP_FAULTS environment the ctest fault matrix
@@ -241,14 +241,8 @@ TEST(FaultInjection, SameSeedReproducesTheSchedule) {
 
 TEST(FaultInjection, InjectionEventsAnnotateTheObserver) {
   struct EventCounter final : sim::MachineObserver {
-    std::vector<std::string> begins;
-    std::int64_t ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name).rfind("fault.", 0) == 0) begins.push_back(name);
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name).rfind("fault.", 0) == 0) ++ends;
-    }
+    std::vector<sim::Event> events;
+    void on_event(sim::Event e) override { events.push_back(e); }
   };
 
   sim::Machine m = make_machine(2);
@@ -256,21 +250,20 @@ TEST(FaultInjection, InjectionEventsAnnotateTheObserver) {
       "seed=1 drop=1.0 tag=1 | dup=1.0 tag=2 | delay=1.0 tag=3 ticks=1"
       " | trunc=1.0 tag=4"));
   EventCounter counter;
-  auto* prev = m.set_observer(&counter);
+  m.add_observer(&counter);
 
   m.post(make_message(0, 1, 1, 4), sim::Category::kM2M);
   m.post(make_message(0, 1, 2, 4), sim::Category::kM2M);
   m.post(make_message(0, 1, 3, 4), sim::Category::kM2M);
   m.post(make_message(0, 1, 4, 4), sim::Category::kM2M);
 
-  ASSERT_EQ(counter.begins.size(), 4u);
-  EXPECT_EQ(counter.begins[0], "fault.drop");
-  EXPECT_EQ(counter.begins[1], "fault.duplicate");
-  EXPECT_EQ(counter.begins[2], "fault.delay");
-  EXPECT_EQ(counter.begins[3], "fault.truncate");
-  EXPECT_EQ(counter.ends, 4);  // every begin is paired
+  ASSERT_EQ(counter.events.size(), 4u);
+  EXPECT_EQ(counter.events[0], sim::Event::kFaultDrop);
+  EXPECT_EQ(counter.events[1], sim::Event::kFaultDuplicate);
+  EXPECT_EQ(counter.events[2], sim::Event::kFaultDelay);
+  EXPECT_EQ(counter.events[3], sim::Event::kFaultTruncate);
 
-  m.set_observer(prev);
+  m.remove_observer(&counter);
   m.flush_delayed();
   while (m.receive(1).has_value()) {
   }
@@ -335,15 +328,11 @@ TEST(FaultInjection, KillStopsSendingButKeepsDelivering) {
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 kill=1 after=2"));
 
   struct EventCounter final : sim::MachineObserver {
-    std::vector<std::string> begins;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name).rfind("fault.", 0) == 0) {
-        begins.emplace_back(name);
-      }
-    }
+    std::vector<sim::Event> events;
+    void on_event(sim::Event e) override { events.push_back(e); }
   };
   EventCounter counter;
-  auto* prev = m.set_observer(&counter);
+  m.add_observer(&counter);
 
   m.post(make_message(0, 2, 7, 4), sim::Category::kM2M);  // countdown: 1
   EXPECT_FALSE(m.fault_plan()->is_dead(1));
@@ -365,11 +354,11 @@ TEST(FaultInjection, KillStopsSendingButKeepsDelivering) {
   m.post(make_message(0, 1, 9, 4), sim::Category::kM2M);
   EXPECT_TRUE(m.has_message(1, 0, 9));
 
-  ASSERT_GE(counter.begins.size(), 2u);
-  EXPECT_EQ(counter.begins[0], "fault.kill");
-  EXPECT_EQ(counter.begins[1], "fault.dead");
+  ASSERT_GE(counter.events.size(), 2u);
+  EXPECT_EQ(counter.events[0], sim::Event::kFaultKill);
+  EXPECT_EQ(counter.events[1], sim::Event::kFaultDead);
 
-  m.set_observer(prev);
+  m.remove_observer(&counter);
   while (m.receive(0).has_value()) {
   }
   while (m.receive(1).has_value()) {

@@ -158,20 +158,31 @@ TEST(PlanCache, HitSkipsRecompilationAndIsCounted) {
 }
 
 TEST(PlanCache, CacheEventsReachMachineObserver) {
-  // The hit/miss/compile annotations flow through the MachineObserver
-  // phase hooks; the validator's phase counter must see all of them.
+  // The hit/miss events reach every attached observer through on_event;
+  // the compile is a real phase the validator counts.
   const int P = 4;
   sim::Machine machine = make_machine(P);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({P}), 8);
   plan::PlanCache cache(4);
   analysis::ProtocolValidator validator(machine);
+  struct EventLog final : sim::MachineObserver {
+    std::vector<sim::Event> events;
+    void on_event(sim::Event e) override { events.push_back(e); }
+  };
+  EventLog log;
+  machine.add_observer(&log);
   const std::int64_t before = validator.stats().phases;
   (void)cache.pack_plan(machine, d, sizeof(std::int64_t));  // miss + compile
   const std::int64_t after_miss = validator.stats().phases;
-  EXPECT_EQ(after_miss, before + 2);  // plan.cache.miss + plan.compile
+  EXPECT_EQ(after_miss, before + 1);  // plan.compile
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events[0], sim::Event::kPlanCacheMiss);
   (void)cache.pack_plan(machine, d, sizeof(std::int64_t));  // hit
-  EXPECT_EQ(validator.stats().phases, after_miss + 1);  // plan.cache.hit
+  EXPECT_EQ(validator.stats().phases, after_miss);  // no compile on a hit
+  ASSERT_EQ(log.events.size(), 2u);
+  EXPECT_EQ(log.events[1], sim::Event::kPlanCacheHit);
+  machine.remove_observer(&log);
   validator.finish();
   EXPECT_TRUE(validator.ok()) << validator.report();
 }
@@ -340,31 +351,25 @@ TEST(PlanCache, InvalidateAndClearAnnotateTheObserver) {
   (void)cache.unpack_plan(machine, mask_d, vec_d, sizeof(double));
   (void)cache.pack_plan(machine, mask_d, sizeof(double));
 
-  struct PhaseCounter final : sim::MachineObserver {
-    std::int64_t invalidate_begins = 0;
-    std::int64_t invalidate_ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++invalidate_begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++invalidate_ends;
+  struct InvalidateCounter final : sim::MachineObserver {
+    std::int64_t invalidations = 0;
+    void on_event(sim::Event e) override {
+      if (e == sim::Event::kPlanCacheInvalidate) ++invalidations;
     }
   };
-  PhaseCounter counter;
-  auto* prev = machine.set_observer(&counter);
+  InvalidateCounter counter;
+  machine.add_observer(&counter);
 
   EXPECT_EQ(cache.invalidate(machine, vec_d), 1u);  // the unpack plan
-  EXPECT_EQ(counter.invalidate_begins, 1);
-  EXPECT_EQ(counter.invalidate_ends, 1);
+  EXPECT_EQ(counter.invalidations, 1);
 
   EXPECT_EQ(cache.size(), 1u);
-  cache.clear(machine);  // the remaining pack plan, same annotation
-  EXPECT_EQ(counter.invalidate_begins, 2);
-  EXPECT_EQ(counter.invalidate_ends, 2);
+  cache.clear(machine);  // the remaining pack plan, same event
+  EXPECT_EQ(counter.invalidations, 2);
   EXPECT_EQ(cache.stats().invalidations, 2);
   EXPECT_EQ(cache.size(), 0u);
 
-  machine.set_observer(prev);
+  machine.remove_observer(&counter);
 }
 
 TEST(PlanCache, RejectsAutoScheme) {
@@ -388,14 +393,13 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   // with no synchronization, so a maintenance thread invalidating plans
   // after a redistribution could race another thread's lookup bookkeeping
   // and corrupt the cache.  All public operations now serialize on one
-  // internal mutex, and annotations ride the machine's serialized-observer
-  // discipline -- the observer must see exactly one paired annotation per
-  // dropped plan, never interleaved halves.  (TSan covers the memory-order
-  // side when the suite runs under the sanitizer jobs.)
+  // internal mutex, and events ride the machine's serialized-observer
+  // discipline -- the observer must see exactly one event per dropped
+  // plan.  (TSan covers the memory-order side when the suite runs under
+  // the sanitizer jobs.)
   const int P = 4;
   sim::Machine machine = make_machine(P);
-  // Annotation scoping is fault-plan-only state and main-thread-only;
-  // concurrent cache metadata operations require a fault-free machine.
+  // Fault-free, so an ambient PUP_FAULTS cannot disturb the compiles.
   machine.set_fault_plan(nullptr);
   const dist::index_t n = 256;
   constexpr int kDists = 8;
@@ -405,18 +409,14 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
         dist::Shape({n}), dist::ProcessGrid({P}), i + 1));
   }
 
-  struct PhaseCounter final : sim::MachineObserver {
-    std::int64_t begins = 0;
-    std::int64_t ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++ends;
+  struct InvalidateCounter final : sim::MachineObserver {
+    std::int64_t invalidations = 0;
+    void on_event(sim::Event e) override {
+      if (e == sim::Event::kPlanCacheInvalidate) ++invalidations;
     }
   };
-  PhaseCounter counter;
-  auto* prev = machine.set_observer(&counter);
+  InvalidateCounter counter;
+  machine.add_observer(&counter);
 
   // Compiles drive the machine's collectives and stay on this thread; the
   // threads below only exercise the metadata surface.
@@ -446,8 +446,7 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   EXPECT_EQ(dropped.load(), static_cast<std::size_t>(kDists));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, kDists);
-  EXPECT_EQ(counter.begins, kDists);
-  EXPECT_EQ(counter.ends, kDists);
+  EXPECT_EQ(counter.invalidations, kDists);
 
   // Racing clears: exactly one drops the repopulated entries, the rest see
   // an empty cache; the counters never double-count.
@@ -462,10 +461,9 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   for (auto& th : clearers) th.join();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, 2 * kDists);
-  EXPECT_EQ(counter.begins, 2 * kDists);
-  EXPECT_EQ(counter.ends, 2 * kDists);
+  EXPECT_EQ(counter.invalidations, 2 * kDists);
 
-  machine.set_observer(prev);
+  machine.remove_observer(&counter);
 }
 
 TEST(PackBatch, MatchesIndependentCallsAndHalvesPrsStartups) {

@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
+#include "analysis/determinism.hpp"
 #include "analysis/protocol_validator.hpp"
 #include "core/api.hpp"
+#include "core/recovery.hpp"
+#include "plan/plan.hpp"
+#include "plan/resilient.hpp"
+#include "sim/fault.hpp"
 #include "sim/instrumentation.hpp"
 
 namespace pup {
@@ -351,19 +358,89 @@ TEST(ProtocolValidator, FailFastThrowsContractError) {
   (void)machine.receive(1, 0, 5);
 }
 
-TEST(ProtocolValidator, DetachRestoresPreviousObserver) {
-  sim::Machine machine = make_machine(2);
-  EXPECT_EQ(machine.observer(), nullptr);
-  {
-    ProtocolValidator outer(machine);
-    EXPECT_EQ(machine.observer(), &outer);
-    {
-      ProtocolValidator inner(machine);
-      EXPECT_EQ(machine.observer(), &inner);
+TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
+  // A validator, a digest recorder and a counting observer attached at
+  // once each see the whole event stream of a fail-stop recovery pack: the
+  // kill, the rollback and the re-execution.
+  const int P = 8;
+  const dist::index_t n = 2048;
+  const auto d = dist::Distribution::block_cyclic(
+      dist::Shape({n}), dist::ProcessGrid({P}), 16);
+  std::vector<std::int64_t> data(static_cast<std::size_t>(n));
+  std::iota(data.begin(), data.end(), 1);
+  const auto array = dist::DistArray<std::int64_t>::scatter(d, data);
+  const auto mask =
+      dist::DistArray<mask_t>::scatter(d, random_mask(n, 0.4, 0x1337));
+  PackOptions opt;
+  opt.scheme = PackScheme::kCompactMessage;
+  RecoveryPolicy pol;
+  pol.max_restarts = 3;
+
+  struct Counter final : sim::MachineObserver {
+    std::int64_t posts = 0;
+    std::int64_t receives = 0;
+    std::int64_t phases = 0;
+    std::vector<sim::Event> events;
+    void on_post(const sim::Message&, sim::Category) override { ++posts; }
+    void on_receive(int, const sim::Message&) override { ++receives; }
+    void on_phase_begin(const char*) override { ++phases; }
+    void on_event(sim::Event e) override { events.push_back(e); }
+    bool saw(sim::Event e) const {
+      return std::find(events.begin(), events.end(), e) != events.end();
     }
-    EXPECT_EQ(machine.observer(), &outer);
+  };
+
+  // Reference: the same recovery pack with a lone digest recorder.
+  analysis::TraceDigest solo;
+  std::vector<std::int64_t> solo_result;
+  {
+    sim::Machine m = make_machine(P);
+    const plan::PackPlan plan =
+        plan::compile_pack_plan(m, d, sizeof(std::int64_t), opt);
+    m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
+    analysis::DigestRecorder rec(m);
+    plan::ResilientExecutor exec(m, pol);
+    solo_result = exec.pack(plan, array, mask).vector.gather();
+    solo = rec.digest();
+    ASSERT_EQ(exec.stats().restarts, 1);
   }
-  EXPECT_EQ(machine.observer(), nullptr);
+
+  sim::Machine m = make_machine(P);
+  const plan::PackPlan plan =
+      plan::compile_pack_plan(m, d, sizeof(std::int64_t), opt);
+  m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
+  auto validator = std::make_unique<ProtocolValidator>(m);
+  analysis::DigestRecorder rec(m);
+  Counter counter;
+  m.add_observer(&counter);
+  plan::ResilientExecutor exec(m, pol);
+  EXPECT_EQ(exec.pack(plan, array, mask).vector.gather(), solo_result);
+  EXPECT_EQ(exec.stats().restarts, 1);
+
+  EXPECT_EQ(rec.digest(), solo) << analysis::diff_digests(rec.digest(), solo);
+  EXPECT_GT(counter.posts, 0);
+  EXPECT_EQ(validator->stats().posts, counter.posts);
+  EXPECT_EQ(validator->stats().receives, counter.receives);
+  EXPECT_EQ(validator->stats().phases, counter.phases);
+  EXPECT_TRUE(counter.saw(sim::Event::kFaultKill));
+  EXPECT_TRUE(counter.saw(sim::Event::kEpochCheckpoint));
+  EXPECT_TRUE(counter.saw(sim::Event::kEpochRollback));
+  validator->finish();
+  EXPECT_TRUE(validator->ok()) << validator->report();
+
+  // Detach in non-LIFO order: the first-attached validator goes first, then
+  // the last-attached counter; whoever is left keeps receiving.
+  validator.reset();
+  m.mark_epoch_boundary();
+  EXPECT_EQ(counter.events.back(), sim::Event::kEpochBoundary);
+  const auto prs = static_cast<std::size_t>(sim::Category::kPrs);
+  const double charged_before = rec.digest().charged_us[1][prs];
+  m.remove_observer(&counter);
+  const std::size_t seen = counter.events.size();
+  m.charge(1, sim::Category::kPrs, 3.0);
+  m.mark_epoch_boundary();
+  EXPECT_EQ(counter.events.size(), seen);
+  EXPECT_EQ(rec.digest().charged_us[1][prs], charged_before + 3.0);
 }
 
 }  // namespace

@@ -187,25 +187,20 @@ TEST(EpochCheckpoint, BoundariesAnnotateEveryPrsRound) {
   PackWorkload wl = make_workload(1024, P, 16, 0.5, 0x5eed);
 
   struct BoundaryCounter final : sim::MachineObserver {
-    std::int64_t begins = 0;
-    std::int64_t ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "epoch.boundary") ++begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "epoch.boundary") ++ends;
+    std::int64_t boundaries = 0;
+    void on_event(sim::Event e) override {
+      if (e == sim::Event::kEpochBoundary) ++boundaries;
     }
   };
   BoundaryCounter counter;
-  auto* prev = m.set_observer(&counter);
+  m.add_observer(&counter);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
   (void)pack(m, wl.array, wl.mask, opt);
-  m.set_observer(prev);
+  m.remove_observer(&counter);
 
-  EXPECT_GT(counter.begins, 0);           // every PRS round marks a cut
-  EXPECT_EQ(counter.begins, counter.ends);  // paired
-  EXPECT_EQ(m.epoch_boundaries(), counter.begins);
+  EXPECT_GT(counter.boundaries, 0);  // every PRS round marks a cut
+  EXPECT_EQ(m.epoch_boundaries(), counter.boundaries);
 }
 
 // --- recovery end to end ----------------------------------------------
@@ -567,26 +562,40 @@ TEST(DelayedQueue, UnreceivedDelayExpiresAtOutermostScopeEnd) {
 
   struct ExpiryWatcher final : sim::MachineObserver {
     std::int64_t expired = 0;
-    std::int64_t annotations = 0;
+    std::int64_t events = 0;
     void on_expire(const sim::Message&) override { ++expired; }
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "fault.delay.expired") ++annotations;
+    void on_event(sim::Event e) override {
+      if (e == sim::Event::kFaultDelayExpired) ++events;
     }
   };
   ExpiryWatcher watcher;
-  auto* prev = m.set_observer(&watcher);
+  m.add_observer(&watcher);
   {
     sim::PhaseScope scope(m, "op");
     m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);
     EXPECT_EQ(m.delayed_pending(), 1u);
   }  // outermost scope closed: the leftover delay must not leak onward
-  m.set_observer(prev);
+  m.remove_observer(&watcher);
 
   EXPECT_EQ(m.delayed_pending(), 0u);
   EXPECT_TRUE(m.mailboxes_empty());
   EXPECT_EQ(watcher.expired, 1);
-  EXPECT_EQ(watcher.annotations, 1);
+  EXPECT_EQ(watcher.events, 1);
   EXPECT_EQ(m.fault_plan()->stats().expired, 1);
+}
+
+TEST(DelayedQueue, PointEventsDoNotDrainTheDelayedQueue) {
+  // A point event is not a phase: emitted outside every scope it must not
+  // run the end-of-scope drain that would expire a held delayed message.
+  sim::Machine m = make_machine(2);
+  m.set_fault_plan(sim::FaultPlan::parse("seed=1 delay=1.0 ticks=50"));
+  m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);
+  ASSERT_EQ(m.delayed_pending(), 1u);
+  m.annotate_event(sim::Event::kPlanCacheHit);
+  EXPECT_EQ(m.delayed_pending(), 1u);
+  EXPECT_EQ(m.fault_plan()->stats().expired, 0);
+  m.flush_delayed();
+  EXPECT_TRUE(m.receive(1, 0, 7).has_value());
 }
 
 TEST(DelayedQueue, NoLeakAcrossOperationsUnderPrsDelaySchedule) {

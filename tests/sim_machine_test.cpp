@@ -5,8 +5,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/exec_policy.hpp"
@@ -293,6 +295,57 @@ TEST(MachineThreaded, ChargesFromConcurrentRanksAllLand) {
   for (int r = 0; r < 8; ++r) {
     EXPECT_DOUBLE_EQ(m.times(r)[Category::kPrs], 1.0);
   }
+}
+
+TEST(Event, NamesAreUniqueAndStable) {
+  // Observers, logs and docs refer to events by these dotted names; they
+  // are the strings the events carried when they were phase annotations.
+  const std::vector<std::string> expected = {
+      "fault.kill", "fault.dead", "fault.drop", "fault.duplicate",
+      "fault.delay", "fault.truncate", "fault.delay.expired",
+      "epoch.checkpoint", "epoch.rollback", "epoch.boundary",
+      "cancel.trip",
+      "reliable.corrupt", "reliable.dedup", "reliable.heartbeat",
+      "reliable.nak", "reliable.retransmit", "reliable.drain",
+      "plan.cache.hit", "plan.cache.miss", "plan.cache.evict",
+      "plan.cache.invalidate", "plan.cancel.rollback",
+      "service.cache.hit", "service.cache.miss", "service.brownout.enter",
+      "service.brownout.exit", "service.watchdog.trip",
+      "service.deadline.miss", "service.cancelled"};
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kNumEvents));
+  std::set<std::string> seen;
+  for (int i = 0; i < kNumEvents; ++i) {
+    const std::string name = event_name(static_cast<Event>(i));
+    EXPECT_FALSE(name.empty());
+    EXPECT_EQ(name, expected[static_cast<std::size_t>(i)]);
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
+  }
+}
+
+TEST(Machine, EveryObserverSeesEventsInAttachOrder) {
+  struct Log final : MachineObserver {
+    std::vector<std::string>* out;
+    std::string tag;
+    Log(std::vector<std::string>* o, std::string t)
+        : out(o), tag(std::move(t)) {}
+    void on_event(Event e) override {
+      out->push_back(tag + ":" + event_name(e));
+    }
+  };
+  Machine m(2);
+  std::vector<std::string> seen;
+  Log a(&seen, "a");
+  Log b(&seen, "b");
+  m.add_observer(&a);
+  m.add_observer(&b);
+  m.annotate_event(Event::kPlanCacheHit);
+  m.remove_observer(&a);
+  m.annotate_event(Event::kPlanCacheMiss);
+  m.remove_observer(&b);
+  m.annotate_event(Event::kPlanCacheEvict);
+  EXPECT_EQ(seen, (std::vector<std::string>{"a:plan.cache.hit",
+                                            "b:plan.cache.hit",
+                                            "b:plan.cache.miss"}));
 }
 
 TEST(TimeBreakdown, Accumulates) {

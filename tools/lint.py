@@ -47,15 +47,15 @@ contract decision the compiler cannot see):
    PUP_BACKEND and must not care which data path runs underneath.
 
 7. paired-annotation: phase annotations in src/core, src/coll, src/plan,
-   and src/service must be scope-balanced and use registered phase names.  The
-   static verifier's trace cross-check aligns executions with compiled
-   schedules by these annotations, so an unbalanced or unregistered phase
-   breaks the alignment invisibly.  Concretely: (a) a PhaseScope must be a
-   named local (a temporary closes its phase on the same statement);
-   (b) raw annotate_phase_begin/annotate_phase_end calls must balance in
-   LIFO order with matching arguments within each file; (c) every phase
-   name literal must appear in REGISTERED_PHASES below -- register new
-   phases here when introducing them.
+   and src/service must use registered phase names.  The static verifier's
+   trace cross-check aligns executions with compiled schedules by these
+   annotations, so an unregistered phase breaks the alignment invisibly.
+   Phases open only through sim::PhaseScope (Machine's raw begin/end calls
+   are private), so balance holds by construction; what remains to check:
+   (a) a PhaseScope must be a named local (a temporary closes its phase on
+   the same statement); (b) every phase name literal must appear in
+   REGISTERED_PHASES below -- register new phases here when introducing
+   them.  Point events (sim::Event) are typed and need no registry.
 
 8. service-layering: src/service/ is the topmost layer -- it may include
    service/, plan/, core/, dist/, coll/, sim/, and support/ headers (it
@@ -65,13 +65,7 @@ contract decision the compiler cannot see):
    nothing below it -- src/ outside src/service/ -- may include a
    service/ header.  The library must stay usable without the server.
 
-9. service-event-registry: every string literal in src/ naming a
-   service.* or plan.cancel* observer event must be registered in
-   REGISTERED_PHASES, even when the name reaches annotate_phase_begin
-   through a variable (the deadline/cancel/watchdog trip events are
-   selected by a ternary, which rule 7's literal check cannot see).
-
-10. kernels-layering: src/core/kernels/ is the bottommost compute layer --
+9. kernels-layering: src/core/kernels/ is the bottommost compute layer --
    it may include only support/ and its own headers, never sim/, backend/,
    dist/, coll/, or plan/.  Kernels operate on raw spans their callers hand
    them; digests and modeled costs must stay invariant under PUP_SIMD, which
@@ -321,24 +315,14 @@ REGISTERED_PHASES = {
     "pack.compose", "pack.decompose",
     "ranking.initial", "ranking.final",
     "unpack.requests", "unpack.replies", "unpack.place",
-    "plan.compile",
-    "plan.cache.hit", "plan.cache.miss", "plan.cache.evict",
-    "plan.cache.invalidate",
-    "plan.verify",
-    "plan.cancel.rollback",
+    "plan.compile", "plan.verify",
     "service.execute",
-    "service.cache.hit", "service.cache.miss",
-    "service.brownout.enter", "service.brownout.exit",
-    "service.watchdog.trip", "service.deadline.miss",
-    "service.cancelled",
 }
 
 PHASE_DIRS = ("src/core", "src/coll", "src/plan", "src/service")
 PHASE_SCOPE_NAMED_RE = re.compile(
     r"PhaseScope\s+\w+\s*(?:\(|\{)\s*\w+\s*,\s*\"([^\"]+)\"")
 PHASE_SCOPE_TEMP_RE = re.compile(r"PhaseScope\s*[({]")
-PHASE_BEGIN_RE = re.compile(r"annotate_phase_begin\s*\(\s*([^)]*?)\s*\)")
-PHASE_END_RE = re.compile(r"annotate_phase_end\s*\(\s*([^)]*?)\s*\)")
 
 
 def check_paired_annotations(root: Path) -> list[str]:
@@ -347,7 +331,6 @@ def check_paired_annotations(root: Path) -> list[str]:
         for path in sorted((root / d).rglob("*.[ch]pp")):
             rel = path.relative_to(root).as_posix()
             text = strip_block_comments(path.read_text())
-            stack: list[tuple[int, str]] = []
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if COMMENT_RE.match(line):
                     continue
@@ -366,69 +349,6 @@ def check_paired_annotations(root: Path) -> list[str]:
                         f"{rel}:{lineno}: paired-annotation: temporary "
                         f"PhaseScope closes its phase on the same "
                         f"statement; bind it to a named local"
-                    )
-                for m in PHASE_BEGIN_RE.finditer(code):
-                    arg = m.group(1).strip()
-                    lit = re.fullmatch(r'"([^"]*)"', arg)
-                    if lit and lit.group(1) not in REGISTERED_PHASES:
-                        findings.append(
-                            f"{rel}:{lineno}: paired-annotation: phase "
-                            f"\"{lit.group(1)}\" is not registered; add it "
-                            f"to REGISTERED_PHASES in tools/lint.py"
-                        )
-                    stack.append((lineno, arg))
-                for m in PHASE_END_RE.finditer(code):
-                    arg = m.group(1).strip()
-                    if not stack:
-                        findings.append(
-                            f"{rel}:{lineno}: paired-annotation: "
-                            f"annotate_phase_end({arg}) without a matching "
-                            f"annotate_phase_begin"
-                        )
-                    elif stack[-1][1] != arg:
-                        findings.append(
-                            f"{rel}:{lineno}: paired-annotation: "
-                            f"annotate_phase_end({arg}) closes "
-                            f"annotate_phase_begin({stack[-1][1]}) from "
-                            f"line {stack[-1][0]}; phases must nest"
-                        )
-                        stack.pop()
-                    else:
-                        stack.pop()
-            for lineno, arg in stack:
-                findings.append(
-                    f"{rel}:{lineno}: paired-annotation: "
-                    f"annotate_phase_begin({arg}) is never closed"
-                )
-    return findings
-
-
-# Rule 10 (service-event-registry): the deadline/cancel/brown-out/watchdog
-# observer events are emitted through variables (e.g. the trip-cause
-# ternary in server.cpp), which rule 7's literal-only check cannot see.
-# This sweep closes the gap from the other side: every string literal in
-# src/ that names a service.* or plan.cancel* phase must be registered in
-# REGISTERED_PHASES, no matter how it reaches annotate_phase_begin.
-SERVICE_EVENT_LITERAL_RE = re.compile(
-    r'"((?:service|plan\.cancel)(?:\.[a-z_]+)+)"')
-
-
-def check_service_event_registry(root: Path) -> list[str]:
-    findings = []
-    for path in sorted((root / "src").rglob("*.[ch]pp")):
-        rel = path.relative_to(root).as_posix()
-        text = strip_block_comments(path.read_text())
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if COMMENT_RE.match(line):
-                continue
-            code = line.split("//", 1)[0]
-            for m in SERVICE_EVENT_LITERAL_RE.finditer(code):
-                if m.group(1) not in REGISTERED_PHASES:
-                    findings.append(
-                        f"{rel}:{lineno}: service-event-registry: "
-                        f"\"{m.group(1)}\" names a service/plan.cancel "
-                        f"observer event but is not in REGISTERED_PHASES; "
-                        f"register it in tools/lint.py"
                     )
     return findings
 
@@ -516,7 +436,6 @@ def main(argv: list[str]) -> int:
     findings += check_backend_layering(root)
     findings += check_service_layering(root)
     findings += check_paired_annotations(root)
-    findings += check_service_event_registry(root)
     for f in findings:
         print(f)
     if findings:
