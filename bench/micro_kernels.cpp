@@ -8,9 +8,9 @@
 // sides of every speedup claim.  Before any timing, main() runs a parity
 // gate: every vector kernel must agree bit for bit with its scalar
 // reference, and an end-to-end pack must produce identical digests and
-// values across PUP_SIMD settings and backends -- a bench binary that
-// measures wrong kernels aborts instead of reporting.  `--smoke` runs the
-// gate and exits (the CI hook).
+// values across PUP_SIMD settings and execution policies -- a bench binary
+// that measures wrong kernels aborts instead of reporting.  `--smoke` runs
+// the gate and exits (the CI hook).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "analysis/determinism.hpp"
 #include "core/api.hpp"
 #include "core/kernels/kernels.hpp"
-#include "support/env.hpp"
 
 namespace pup {
 namespace {
@@ -304,7 +303,8 @@ void verify_kernel_parity() {
 }
 
 // End-to-end: a CMS pack must produce identical trace digests and result
-// values whether the kernels run scalar or vectorized, on either backend.
+// values whether the kernels run scalar or vectorized, with sequential or
+// threaded local phases.
 void verify_e2e_parity() {
   const int p = 8;
   const dist::index_t n = 1 << 12;
@@ -313,14 +313,14 @@ void verify_e2e_parity() {
     std::vector<std::int64_t> values;
   };
   std::vector<Run> runs;
-  for (const char* backend : {"sim", "threads"}) {
+  for (const sim::ExecPolicy exec :
+       {sim::ExecPolicy::sequential(), sim::ExecPolicy::threaded(4)}) {
     for (const bool scalar : {true, false}) {
-      support::Env::override_for_testing("PUP_BACKEND",
-                                         std::string(backend));
       kernels::force_path_for_testing(
           scalar ? std::optional<kernels::Path>(kernels::Path::kScalar)
                  : std::nullopt);
-      sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+      sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01},
+                           sim::Topology::crossbar(p), exec);
       analysis::DigestRecorder recorder(machine);
       auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                                 dist::ProcessGrid({p}), 64);
@@ -336,13 +336,12 @@ void verify_e2e_parity() {
     }
   }
   kernels::force_path_for_testing(std::nullopt);
-  support::Env::override_for_testing("PUP_BACKEND", std::nullopt);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     if (!(runs[i].digest == runs[0].digest)) {
-      die("end-to-end digest differs across PUP_SIMD/backend");
+      die("end-to-end digest differs across PUP_SIMD/exec policy");
     }
     if (runs[i].values != runs[0].values) {
-      die("end-to-end values differ across PUP_SIMD/backend");
+      die("end-to-end values differ across PUP_SIMD/exec policy");
     }
   }
 }

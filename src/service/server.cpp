@@ -36,17 +36,6 @@ sim::ExecPolicy resolve_exec(const std::optional<int>& threads) {
                              : sim::ExecPolicy::sequential();
 }
 
-backend::Kind resolve_backend(const std::optional<std::string>& backend) {
-  if (!backend.has_value()) return backend::kind_from_env();
-  if (*backend == "sim") return backend::Kind::kSim;
-  if (*backend == "threads" || *backend == "thread") {
-    return backend::Kind::kThreads;
-  }
-  PUP_REQUIRE(false, "Server::Options::backend must be \"sim\" or "
-                     "\"threads\", got \"" << *backend << "\"");
-  return backend::Kind::kSim;  // unreachable
-}
-
 /// Payload bytes a request pins while in flight: the mask plus one element
 /// array the size of its layout (plus the input vector for unpack).
 std::size_t pack_bytes(const dist::Distribution& d) {
@@ -67,11 +56,13 @@ Server::Server(Options options)
     : options_(std::move(options)),
       machine_(options_.nprocs, options_.cost,
                sim::Topology::crossbar(options_.nprocs),
-               resolve_exec(options_.threads),
-               resolve_backend(options_.backend)),
+               resolve_exec(options_.threads)),
       cache_(options_.plan_cache_capacity),
       exec_(machine_, options_.recovery),
       paused_(options_.start_paused) {
+  PUP_REQUIRE(!options_.backend.has_value() || *options_.backend == "sim",
+              "Server::Options::backend must be \"sim\", got \""
+                  << *options_.backend << "\"");
   PUP_REQUIRE(options_.max_batch >= 1, "max_batch must be >= 1");
   PUP_REQUIRE(options_.window_us >= 0.0, "window_us must be >= 0");
   PUP_REQUIRE(options_.overload_factor >= 0.0,

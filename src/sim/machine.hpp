@@ -31,15 +31,12 @@
 // ProtocolValidator and a DigestRecorder side by side) need no locking of
 // their own under either policy.
 //
-// The message data path and the local-phase execution engine live behind a
-// backend::Backend (backend/backend.hpp): SimBackend is the historical
-// simulator (deque mailboxes + work-sharing pool, the oracle for model
-// time and digests); ThreadBackend is a real shared-memory transport
-// (rank-pinned threads + lock-free SPSC channels) with wall-clock metering.
-// Everything modeled -- fault injection, charges, tracing, observers,
-// epoch bookkeeping -- stays in Machine above that seam, so payloads,
-// charges, and digests are bit-identical across backends.  Constructors
-// without an explicit backend kind consult PUP_BACKEND.
+// The machine is its own execution engine: it holds one deque Mailbox per
+// processor (messages move by std::move on the schedule thread) and, for
+// the threaded policy, a work-sharing pool that it creates on the first
+// threaded local phase.  The paper's model charges communication as
+// tau + mu*m rather than measuring it, so the transport underneath only
+// ever affects wall clock; the pool is what buys real parallelism.
 #pragma once
 
 #include <deque>
@@ -51,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "sim/cancel.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/exec_policy.hpp"
@@ -64,6 +60,14 @@
 #include "support/arena.hpp"
 #include "support/check.hpp"
 
+namespace pup::backend {
+
+/// Names the machine's execution engine, of which there is one.  Kept only
+/// because perfbench/bench.cpp passes it to the five-argument constructor.
+enum class Kind { kSim };
+
+}  // namespace pup::backend
+
 namespace pup::sim {
 
 class FaultPlan;        // sim/fault.hpp
@@ -74,13 +78,14 @@ class Machine {
   /// Creates a machine with `nprocs` processors, a cost model, and a
   /// topology (defaults to the paper's virtual crossbar).  Constructors
   /// without an explicit ExecPolicy consult the PUP_THREADS environment
-  /// variable (ExecPolicy::from_env()); constructors without an explicit
-  /// backend kind consult PUP_BACKEND (backend::kind_from_env()).
+  /// variable (ExecPolicy::from_env()).
   explicit Machine(int nprocs, CostModel cost = CostModel::calibrated_cm5());
   Machine(int nprocs, CostModel cost, Topology topology);
   Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec);
+  /// Same as the four-argument form; exists only for perfbench/bench.cpp.
   Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec,
-          backend::Kind backend);
+          backend::Kind /*engine*/)
+      : Machine(nprocs, cost, std::move(topology), exec) {}
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -90,15 +95,6 @@ class Machine {
   const CostModel& cost() const { return cost_; }
   const Topology& topology() const { return topology_; }
   const ExecPolicy& exec() const { return exec_; }
-
-  /// The transport/execution backend this machine runs on.
-  backend::Kind backend_kind() const { return backend_->kind(); }
-  const char* backend_name() const { return backend_->name(); }
-
-  /// Real wall-clock microseconds the backend spent inside its transport
-  /// (zero for the simulator backend).  Never part of modeled time or
-  /// determinism digests.
-  double transport_wall_us() const { return backend_->transport_wall_us(); }
 
   // --- phased-SPMD execution ------------------------------------------
 
@@ -113,7 +109,7 @@ class Machine {
   template <typename F>
   void local_phase(F&& body, Category cat = Category::kLocal) {
     annotate_phase_begin("local_phase");
-    if (backend_->concurrent()) {
+    if (concurrent()) {
       parallel_ranks([&](int rank) {
         ScopedRealTimer timer(times_[static_cast<std::size_t>(rank)][cat]);
         body(rank);
@@ -339,9 +335,6 @@ class Machine {
   }
   void annotate_round_end() {
     notify([](MachineObserver& o) { o.on_round_end(); });
-    // Every synchronized round boundary is the backend's chance to fence
-    // its transport (no-op for the simulator).
-    backend_->round_barrier();
   }
 
   /// Reports a point event.  Unlike a phase it opens no annotation scope
@@ -383,7 +376,13 @@ class Machine {
     int ticks = 0;
   };
 
-  /// Runs fn(rank) for every rank on the backend's execution engine.
+  /// Persistent work-sharing pool for threaded local phases (machine.cpp).
+  struct Pool;
+
+  /// True when local phases run on the pool rather than in rank order.
+  bool concurrent() const { return exec_.is_threaded() && nprocs_ > 1; }
+
+  /// Runs fn(rank) for every rank on the pool, creating it on first use.
   /// Blocks until all ranks finish; rethrows the lowest-rank body
   /// exception, if any.
   void parallel_ranks(const std::function<void(int)>& fn);
@@ -395,6 +394,10 @@ class Machine {
   /// Trace + observer + mailbox delivery for one message (the fault-free
   /// tail of post()).
   void deliver(Message m, Category cat);
+  /// Appends `m` to its destination mailbox (arrival order per rank).
+  void enqueue(Message m) {
+    mailboxes_[static_cast<std::size_t>(m.dst)].push(std::move(m));
+  }
   /// Trace + observer only (used when a delayed message is recorded at post
   /// time but enqueued for later delivery).
   void record_post(const Message& m, Category cat);
@@ -418,7 +421,10 @@ class Machine {
   CostModel cost_;
   Topology topology_;
   ExecPolicy exec_;
-  std::unique_ptr<backend::Backend> backend_;
+  std::vector<Mailbox> mailboxes_;
+  /// Created lazily on the first threaded local phase, so sequential
+  /// machines never start a thread.
+  std::unique_ptr<Pool> pool_;
   std::vector<TimeBreakdown> times_;
   Trace trace_;
   std::vector<MachineObserver*> observers_;

@@ -31,10 +31,6 @@ class Mailbox {
   bool empty() const { return queue_.empty(); }
   void clear() { queue_.clear(); }
 
-  /// Queued messages in arrival order.  Backends use this to rebuild their
-  /// own queue representation from an epoch-checkpoint snapshot.
-  const std::deque<Message>& contents() const { return queue_; }
-
  private:
   std::deque<Message> queue_;
 };

@@ -1,26 +1,23 @@
-// Cross-backend contract (backend/backend.hpp): the simulator backend and
-// the shared-memory thread backend must be observably identical in every
-// modeled quantity --
+// Execution-policy contract (sim/exec_policy.hpp): a machine running its
+// local phases sequentially and one running them on the work-sharing pool
+// (ExecPolicy::threaded(4)) must be observably identical in every modeled
+// quantity --
 //   * all five collectives produce bit-identical payloads and TraceDigests
-//     (message/byte counts, modeled charges) on both backends;
+//     (message/byte counts, modeled charges) under both policies;
 //   * PACK and UNPACK round-trip against the serial oracle identically;
 //   * a seeded fault schedule (drops, duplicates, delays, truncation)
-//     recovers through the reliable layer with the same digest on both
-//     backends -- injection happens in Machine above the backend seam;
+//     recovers through the reliable layer with the same digest under both
+//     policies -- injection happens in Machine::post on the schedule thread;
 //   * operation-level recovery from a mid-PRS fail-stop kill rolls back
-//     through the backend's mailbox snapshot/restore seam and re-executes
-//     to the same clean digest on both backends;
+//     through the machine's mailbox snapshot/restore and re-executes to the
+//     same clean digest under both policies;
 //   * epoch checkpoint/rollback restores queued messages in the same
-//     arrival order on both backends.
-// What MAY differ is real wall clock: the thread backend meters the time
-// spent inside its SPSC transport (transport_wall_us), the simulator
-// reports zero.  PUP_BACKEND selects the backend for default-constructed
-// machines; these tests pin it per machine so they behave the same under
-// the ctest backend label matrix.
+//     arrival order under both policies.
+// Only real wall clock may differ.  The tests pin the policy per machine so
+// they behave the same whatever PUP_THREADS says.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -34,7 +31,6 @@
 #include "core/api.hpp"
 #include "plan/resilient.hpp"
 #include "sim/fault.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace pup {
@@ -48,10 +44,12 @@ constexpr int kP = 8;
 const char* const kFaultSpec =
     "seed=1234 drop=0.05 dup=0.03 delay=0.04 ticks=2 trunc=0.03";
 
-sim::Machine make_machine(backend::Kind kind) {
+const sim::ExecPolicy kSequential = sim::ExecPolicy::sequential();
+const sim::ExecPolicy kThreaded = sim::ExecPolicy::threaded(4);
+
+sim::Machine make_machine(sim::ExecPolicy exec) {
   return sim::Machine(kP, sim::CostModel{10.0, 0.1, 0.01},
-                      sim::Topology::crossbar(kP),
-                      sim::ExecPolicy::sequential(), kind);
+                      sim::Topology::crossbar(kP), exec);
 }
 
 Bufs make_inputs(int p, std::size_t m, std::uint64_t seed) {
@@ -65,7 +63,7 @@ Bufs make_inputs(int p, std::size_t m, std::uint64_t seed) {
 }
 
 /// One pass over every collective; returns all result payloads flattened
-/// so backends can be compared bit for bit.
+/// so policies can be compared bit for bit.
 Vec run_all_collectives(sim::Machine& m) {
   const Group g = Group::world(kP);
   Vec flat;
@@ -123,11 +121,10 @@ Vec run_all_collectives(sim::Machine& m) {
 struct RunResult {
   Vec results;
   analysis::TraceDigest digest;
-  double transport_wall_us = 0.0;
 };
 
-RunResult run_collectives(backend::Kind kind, const char* fault_spec) {
-  sim::Machine m = make_machine(kind);
+RunResult run_collectives(sim::ExecPolicy exec, const char* fault_spec) {
+  sim::Machine m = make_machine(exec);
   m.set_fault_plan(fault_spec == nullptr ? nullptr
                                          : sim::FaultPlan::parse(fault_spec));
   analysis::DigestRecorder recorder(m);
@@ -135,35 +132,27 @@ RunResult run_collectives(backend::Kind kind, const char* fault_spec) {
   out.results = run_all_collectives(m);
   EXPECT_TRUE(m.mailboxes_empty());
   out.digest = recorder.digest();
-  out.transport_wall_us = m.transport_wall_us();
   return out;
 }
 
-TEST(BackendParity, CollectivesDigestIdenticalOnCleanNetwork) {
-  const RunResult on_sim = run_collectives(backend::Kind::kSim, nullptr);
-  const RunResult on_thr = run_collectives(backend::Kind::kThreads, nullptr);
-  EXPECT_EQ(on_sim.results, on_thr.results);
-  EXPECT_EQ(on_sim.digest, on_thr.digest)
-      << analysis::diff_digests(on_sim.digest, on_thr.digest);
+TEST(ExecParity, CollectivesDigestIdenticalOnCleanNetwork) {
+  const RunResult seq = run_collectives(kSequential, nullptr);
+  const RunResult thr = run_collectives(kThreaded, nullptr);
+  EXPECT_EQ(seq.results, thr.results);
+  EXPECT_EQ(seq.digest, thr.digest)
+      << analysis::diff_digests(seq.digest, thr.digest);
 }
 
-TEST(BackendParity, CollectivesDigestIdenticalUnderSeededFaults) {
-  // Fault injection lives in Machine::post above the backend seam, so a
+TEST(ExecParity, CollectivesDigestIdenticalUnderSeededFaults) {
+  // Fault injection lives in Machine::post on the schedule thread, so a
   // seeded schedule of drops/dups/delays/truncations -- and the reliable
-  // layer's recovery from it -- must replay identically on both backends.
-  const RunResult on_sim = run_collectives(backend::Kind::kSim, kFaultSpec);
-  const RunResult on_thr =
-      run_collectives(backend::Kind::kThreads, kFaultSpec);
-  EXPECT_EQ(on_sim.results, on_thr.results);
-  EXPECT_EQ(on_sim.digest, on_thr.digest)
-      << analysis::diff_digests(on_sim.digest, on_thr.digest);
-}
-
-TEST(BackendParity, ThreadTransportMetersWallClockSimDoesNot) {
-  const RunResult on_sim = run_collectives(backend::Kind::kSim, nullptr);
-  const RunResult on_thr = run_collectives(backend::Kind::kThreads, nullptr);
-  EXPECT_EQ(on_sim.transport_wall_us, 0.0);
-  EXPECT_GT(on_thr.transport_wall_us, 0.0);
+  // layer's recovery from it -- must replay identically under both
+  // policies.
+  const RunResult seq = run_collectives(kSequential, kFaultSpec);
+  const RunResult thr = run_collectives(kThreaded, kFaultSpec);
+  EXPECT_EQ(seq.results, thr.results);
+  EXPECT_EQ(seq.digest, thr.digest)
+      << analysis::diff_digests(seq.digest, thr.digest);
 }
 
 struct PupResult {
@@ -172,8 +161,8 @@ struct PupResult {
   analysis::TraceDigest digest;
 };
 
-PupResult run_pack_unpack(backend::Kind kind, const char* fault_spec) {
-  sim::Machine m = make_machine(kind);
+PupResult run_pack_unpack(sim::ExecPolicy exec, const char* fault_spec) {
+  sim::Machine m = make_machine(exec);
   m.set_fault_plan(fault_spec == nullptr ? nullptr
                                          : sim::FaultPlan::parse(fault_spec));
   const dist::index_t n = 2048;
@@ -200,23 +189,23 @@ PupResult run_pack_unpack(backend::Kind kind, const char* fault_spec) {
   return out;
 }
 
-TEST(BackendParity, PackUnpackRoundTripIdenticalOnBothBackends) {
+TEST(ExecParity, PackUnpackRoundTripIdenticalUnderBothPolicies) {
   for (const char* spec : {static_cast<const char*>(nullptr), kFaultSpec}) {
-    const PupResult on_sim = run_pack_unpack(backend::Kind::kSim, spec);
-    const PupResult on_thr = run_pack_unpack(backend::Kind::kThreads, spec);
-    EXPECT_EQ(on_sim.packed, on_thr.packed);
-    EXPECT_EQ(on_sim.restored, on_thr.restored);
-    EXPECT_EQ(on_sim.digest, on_thr.digest)
-        << analysis::diff_digests(on_sim.digest, on_thr.digest);
+    const PupResult seq = run_pack_unpack(kSequential, spec);
+    const PupResult thr = run_pack_unpack(kThreaded, spec);
+    EXPECT_EQ(seq.packed, thr.packed);
+    EXPECT_EQ(seq.restored, thr.restored);
+    EXPECT_EQ(seq.digest, thr.digest)
+        << analysis::diff_digests(seq.digest, thr.digest);
   }
 }
 
-TEST(BackendParity, ResilientRecoveryFromKillIdenticalOnBothBackends) {
+TEST(ExecParity, ResilientRecoveryFromKillIdenticalUnderBothPolicies) {
   // A fail-stop kill mid-PRS forces the resilient executor through the
   // whole recovery machinery: heartbeat detection, epoch rollback (the
-  // backend's snapshot/restore seam), revive, fault-free re-execution.
-  auto run = [](backend::Kind kind) {
-    sim::Machine m = make_machine(kind);
+  // machine's mailbox snapshot/restore), revive, fault-free re-execution.
+  auto run = [](sim::ExecPolicy policy) {
+    sim::Machine m = make_machine(policy);
     const dist::index_t n = 2048;
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({kP}), 16);
@@ -240,19 +229,19 @@ TEST(BackendParity, ResilientRecoveryFromKillIdenticalOnBothBackends) {
     EXPECT_EQ(m.epochs_rolled_back(), 1);
     return std::make_tuple(got.vector.gather(), rec.digest());
   };
-  const auto on_sim = run(backend::Kind::kSim);
-  const auto on_thr = run(backend::Kind::kThreads);
-  EXPECT_EQ(std::get<0>(on_sim), std::get<0>(on_thr));
-  EXPECT_EQ(std::get<1>(on_sim), std::get<1>(on_thr))
-      << analysis::diff_digests(std::get<1>(on_sim), std::get<1>(on_thr));
+  const auto seq = run(kSequential);
+  const auto thr = run(kThreaded);
+  EXPECT_EQ(std::get<0>(seq), std::get<0>(thr));
+  EXPECT_EQ(std::get<1>(seq), std::get<1>(thr))
+      << analysis::diff_digests(std::get<1>(seq), std::get<1>(thr));
 }
 
-TEST(BackendParity, EpochRollbackRestoresQueuedMessagesInArrivalOrder) {
-  // Exercises the snapshot/restore seam directly: messages queued at
+TEST(ExecParity, EpochRollbackRestoresQueuedMessagesInArrivalOrder) {
+  // Exercises mailbox snapshot/restore directly: messages queued at
   // checkpoint time must come back in the same per-destination arrival
-  // order after a rollback on either backend.
-  auto run = [](backend::Kind kind) {
-    sim::Machine m = make_machine(kind);
+  // order after a rollback under either policy.
+  auto run = [](sim::ExecPolicy exec) {
+    sim::Machine m = make_machine(exec);
     auto send = [&m](int src, int dst, int tag, std::int64_t x) {
       m.post(sim::Message{src, dst, tag, sim::to_payload<std::int64_t>({&x, 1})},
              sim::Category::kM2M);
@@ -277,45 +266,13 @@ TEST(BackendParity, EpochRollbackRestoresQueuedMessagesInArrivalOrder) {
     EXPECT_TRUE(m.mailboxes_empty());
     return seen;
   };
-  const auto on_sim = run(backend::Kind::kSim);
-  const auto on_thr = run(backend::Kind::kThreads);
-  EXPECT_EQ(on_sim, on_thr);
-  ASSERT_EQ(on_sim.size(), 4u);
+  const auto seq = run(kSequential);
+  const auto thr = run(kThreaded);
+  EXPECT_EQ(seq, thr);
+  ASSERT_EQ(seq.size(), 4u);
   // Wildcard receive respects global arrival order per destination.
-  EXPECT_EQ(on_sim[1], (std::tuple<int, int, std::int64_t>{0, 7, 100}));
-  EXPECT_EQ(on_sim[2], (std::tuple<int, int, std::int64_t>{1, 7, 200}));
-}
-
-TEST(BackendSelection, PupBackendPicksTheBackendAndRejectsTypos) {
-  const char* old = std::getenv("PUP_BACKEND");
-  const std::string saved = old == nullptr ? "" : old;
-  auto set = [](const char* v) {
-    setenv("PUP_BACKEND", v, 1);
-    support::Env::refresh();
-  };
-
-  set("threads");
-  {
-    sim::Machine m(2, sim::CostModel{10.0, 0.1, 0.01});
-    EXPECT_EQ(m.backend_kind(), backend::Kind::kThreads);
-    EXPECT_STREQ(m.backend_name(), "threads");
-  }
-  set("sim");
-  {
-    sim::Machine m(2, sim::CostModel{10.0, 0.1, 0.01});
-    EXPECT_EQ(m.backend_kind(), backend::Kind::kSim);
-    EXPECT_STREQ(m.backend_name(), "sim");
-  }
-  set("shared-memory");  // a typo must fail loudly, not fall back silently
-  EXPECT_THROW(sim::Machine(2, sim::CostModel{10.0, 0.1, 0.01}),
-               ContractError);
-
-  if (old == nullptr) {
-    unsetenv("PUP_BACKEND");
-  } else {
-    setenv("PUP_BACKEND", saved.c_str(), 1);
-  }
-  support::Env::refresh();
+  EXPECT_EQ(seq[1], (std::tuple<int, int, std::int64_t>{0, 7, 100}));
+  EXPECT_EQ(seq[2], (std::tuple<int, int, std::int64_t>{1, 7, 200}));
 }
 
 }  // namespace

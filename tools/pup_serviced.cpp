@@ -9,7 +9,7 @@
 // service can be profiled and tuned entirely from a shell.
 //
 //   $ ./pup_serviced --procs 8 --tenants 3 --clients 2 --requests 16
-//       --window-us 1500 --max-batch 8 --quota 8 --backend threads
+//       --window-us 1500 --max-batch 8 --quota 8 --threads 4
 //
 // Options (all have defaults):
 //   --procs P           simulated machine size
@@ -27,8 +27,6 @@
 //                       every tenant's traffic is mutually fusable)
 //   --density D         mask density in (0,1)
 //   --scheme sss|css|cms  pack scheme (concrete; the service rejects auto)
-//   --backend sim|threads  transport backend (constructor injection;
-//                       default consults PUP_BACKEND)
 //   --threads N         local-phase pool size (default consults PUP_THREADS)
 //   --restarts N        recovery budget (pair with --faults)
 //   --faults "SPEC"     PUP_FAULTS-grammar fault plan installed on the
@@ -46,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/api.hpp"
 #include "service/server.hpp"
 
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
   dist::index_t block = 64;
   double density = 0.5;
   std::string scheme_arg = "cms";
-  std::string backend;
   int threads = 0;
   int restarts = 0;
   std::string faults;
@@ -108,7 +106,6 @@ int main(int argc, char** argv) {
     else if (key == "--block") block = std::stoll(val);
     else if (key == "--density") density = std::stod(val);
     else if (key == "--scheme") scheme_arg = val;
-    else if (key == "--backend") backend = val;
     else if (key == "--threads") threads = std::stoi(val);
     else if (key == "--restarts") restarts = std::stoi(val);
     else if (key == "--faults") faults = val;
@@ -132,7 +129,6 @@ int main(int argc, char** argv) {
   opt.tenant_inflight_quota = quota;
   opt.byte_budget = budget_mb << 20;
   opt.recovery.max_restarts = restarts;
-  if (!backend.empty()) opt.backend = backend;
   if (threads > 0) opt.threads = threads;
   service::Server server(opt);
 
@@ -214,19 +210,22 @@ int main(int argc, char** argv) {
   }
   std::sort(latencies.begin(), latencies.end());
 
+  using pup::bench::JsonLine;
   for (int t = 0; t < tenants; ++t) {
     const std::string name = "t" + std::to_string(t);
     const auto ts = server.tenant_stats(name);
-    std::cout << "{\"tenant\":\"" << name << "\",\"submitted\":" << ts.submitted
-              << ",\"admitted\":" << ts.admitted
-              << ",\"rejected_quota\":" << ts.rejected_quota
-              << ",\"rejected_bytes\":" << ts.rejected_bytes
-              << ",\"completed\":" << ts.completed
-              << ",\"failed\":" << ts.failed
-              << ",\"cache_hits\":" << ts.cache_hits
-              << ",\"cache_misses\":" << ts.cache_misses
-              << ",\"fused\":" << ts.fused
-              << ",\"singleton\":" << ts.singleton << "}\n";
+    std::cout << JsonLine()
+                     .field("tenant", name)
+                     .field("submitted", ts.submitted)
+                     .field("admitted", ts.admitted)
+                     .field("rejected_quota", ts.rejected_quota)
+                     .field("rejected_bytes", ts.rejected_bytes)
+                     .field("completed", ts.completed)
+                     .field("failed", ts.failed)
+                     .field("cache_hits", ts.cache_hits)
+                     .field("cache_misses", ts.cache_misses)
+                     .field("fused", ts.fused)
+                     .field("singleton", ts.singleton);
   }
 
   const auto ss = server.stats();
@@ -234,29 +233,32 @@ int main(int argc, char** argv) {
   const auto& rs = server.recovery_stats();
   const double ops_per_s =
       wall_us > 0 ? static_cast<double>(ok) * 1e6 / wall_us : 0.0;
-  std::cout << "{\"server\":\"pup_serviced\",\"procs\":" << procs
-            << ",\"backend\":\"" << server.machine().backend_name()
-            << "\",\"window_us\":" << window_us
-            << ",\"max_batch\":" << max_batch << ",\"quota\":" << quota
-            << ",\"submitted\":" << ss.submitted
-            << ",\"completed\":" << ss.completed
-            << ",\"rejected\":" << rejected << ",\"failed\":" << failed
-            << ",\"ops_per_s\":" << ops_per_s
-            << ",\"p50_us\":" << percentile(latencies, 0.50)
-            << ",\"p95_us\":" << percentile(latencies, 0.95)
-            << ",\"p99_us\":" << percentile(latencies, 0.99)
-            << ",\"batches\":" << ss.batches
-            << ",\"fused_requests\":" << fused
-            << ",\"cache_hits\":" << cs.hits
-            << ",\"cache_misses\":" << cs.misses
-            << ",\"cache_entries\":" << cs.entries
-            << ",\"cache_capacity\":" << cs.capacity
-            << ",\"peak_bytes_in_flight\":" << ss.peak_bytes_in_flight
-            << ",\"restarts\":" << rs.restarts
-            << ",\"rank_failures\":" << rs.rank_failures
-            << ",\"prs_msgs\":"
-            << server.machine().trace().messages_in(sim::Category::kPrs)
-            << ",\"wall_us\":" << wall_us << "}\n";
+  std::cout << JsonLine()
+                   .field("server", "pup_serviced")
+                   .field("procs", procs)
+                   .field("window_us", window_us)
+                   .field("max_batch", max_batch)
+                   .field("quota", quota)
+                   .field("submitted", ss.submitted)
+                   .field("completed", ss.completed)
+                   .field("rejected", rejected)
+                   .field("failed", failed)
+                   .field("ops_per_s", ops_per_s)
+                   .field("p50_us", percentile(latencies, 0.50))
+                   .field("p95_us", percentile(latencies, 0.95))
+                   .field("p99_us", percentile(latencies, 0.99))
+                   .field("batches", ss.batches)
+                   .field("fused_requests", fused)
+                   .field("cache_hits", cs.hits)
+                   .field("cache_misses", cs.misses)
+                   .field("cache_entries", cs.entries)
+                   .field("cache_capacity", cs.capacity)
+                   .field("peak_bytes_in_flight", ss.peak_bytes_in_flight)
+                   .field("restarts", rs.restarts)
+                   .field("rank_failures", rs.rank_failures)
+                   .field("prs_msgs", server.machine().trace().messages_in(
+                                          sim::Category::kPrs))
+                   .field("wall_us", wall_us);
 
   server.shutdown();
   // Failures are an error unless a fault plan without recovery budget was
