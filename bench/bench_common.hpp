@@ -178,6 +178,15 @@ class JsonLine {
   bool first_ = true;
 };
 
+/// A cost model pinned to one calibrated_cm5() reading (4-vCPU Intel Xeon).
+/// calibrated_cm5() re-times the host on every process start, so benches
+/// that print modeled time or gate on it use this instead: two runs then
+/// print the same modeled numbers byte for byte.
+inline constexpr sim::CostModel kPinnedCost{
+    /*tau_us=*/0.081272516250610355,
+    /*mu_us_per_byte=*/0.00011340351104736328,
+    /*delta_us=*/0.00028350877761840822};
+
 inline sim::Machine make_paper_machine(int p) {
   return sim::Machine(p, sim::CostModel::calibrated_cm5());
 }

@@ -49,23 +49,19 @@ struct RunStats {
 };
 
 RunStats run_config(const Workload& wl, const Config& c) {
-  sim::Machine m(kProcs, sim::CostModel::calibrated_cm5(),
-                 sim::Topology::crossbar(kProcs));
+  sim::Machine m(kProcs, kPinnedCost, sim::Topology::crossbar(kProcs));
   // Installed explicitly so the bench is immune to a PUP_FAULTS env.
   m.set_fault_plan(c.spec == nullptr ? nullptr
                                      : sim::FaultPlan::parse(c.spec));
   coll::ReliableTransport::of(m).force(c.reliable);
 
-  analysis::DigestRecorder recorder(m);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
   RunStats out;
   out.packed = pack(m, wl.array, wl.mask, opt).vector.gather();
-  out.digest = recorder.digest();
+  out.digest = analysis::digest(m);
   out.reliable = coll::ReliableTransport::of(m).stats();
-  for (const auto& per_rank : out.digest.charged_us) {
-    for (const double us : per_rank) out.charged_us += us;
-  }
+  out.charged_us = m.modeled_total_us();
   return out;
 }
 

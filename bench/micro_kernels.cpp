@@ -321,7 +321,6 @@ void verify_e2e_parity() {
                  : std::nullopt);
       sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01},
                            sim::Topology::crossbar(p), exec);
-      analysis::DigestRecorder recorder(machine);
       auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                                 dist::ProcessGrid({p}), 64);
       std::vector<std::int64_t> data(static_cast<std::size_t>(n));
@@ -332,7 +331,8 @@ void verify_e2e_parity() {
       PackOptions opt;
       opt.scheme = PackScheme::kCompactMessage;
       auto result = pack(machine, a, m, opt);
-      runs.push_back(Run{recorder.digest(), result.vector.gather()});
+      runs.push_back(
+          Run{analysis::digest(machine), result.vector.gather()});
     }
   }
   kernels::force_path_for_testing(std::nullopt);

@@ -53,8 +53,7 @@ struct RunStats {
 };
 
 RunStats run_config(const Workload& wl, const Config& c) {
-  sim::Machine m(kProcs, sim::CostModel::calibrated_cm5(),
-                 sim::Topology::crossbar(kProcs));
+  sim::Machine m(kProcs, kPinnedCost, sim::Topology::crossbar(kProcs));
   // Installed explicitly so the bench is immune to a PUP_FAULTS env.
   m.set_fault_plan(c.spec == nullptr ? nullptr
                                      : sim::FaultPlan::parse(c.spec));
@@ -68,7 +67,6 @@ RunStats run_config(const Workload& wl, const Config& c) {
     coll::ReliableTransport::of(m).options().max_attempts = 3;
   }
 
-  analysis::DigestRecorder recorder(m);
   RunStats out;
   if (c.resilient) {
     RecoveryPolicy pol;
@@ -80,11 +78,9 @@ RunStats run_config(const Workload& wl, const Config& c) {
     out.packed = plan::pack_with_plan(m, plan, wl.array, wl.mask)
                      .vector.gather();
   }
-  out.digest = recorder.digest();
+  out.digest = analysis::digest(m);
   out.rollbacks = m.epochs_rolled_back();
-  for (const auto& per_rank : out.digest.charged_us) {
-    for (const double us : per_rank) out.charged_us += us;
-  }
+  out.charged_us = m.modeled_total_us();
   return out;
 }
 

@@ -50,9 +50,8 @@ double wall_ms(sim::Machine& machine, const Workload& wl, int reps) {
 
 analysis::TraceDigest digest_of(sim::Machine& machine, const Workload& wl) {
   machine.reset_accounting();
-  analysis::DigestRecorder recorder(machine);
   run_pack(machine, wl);
-  return recorder.digest();
+  return analysis::digest(machine);
 }
 
 int run() {

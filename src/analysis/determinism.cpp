@@ -6,34 +6,10 @@
 
 namespace pup::analysis {
 
-DigestRecorder::DigestRecorder(sim::Machine& machine)
-    : machine_(machine),
-      charged_(static_cast<std::size_t>(machine.nprocs())) {
-  machine_.add_observer(this);
-}
-
-DigestRecorder::~DigestRecorder() { machine_.remove_observer(this); }
-
-void DigestRecorder::on_charge(int rank, sim::Category cat, double us) {
-  charged_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(cat)] +=
-      us;
-}
-
-void DigestRecorder::on_event(sim::Event e) {
-  // Mirror Machine::rollback_epoch for the recorder's own accumulators;
-  // see the class comment.  The machine emits both events after acting.
-  if (e == sim::Event::kEpochCheckpoint) {
-    epoch_charged_ = charged_;
-    epoch_valid_ = true;
-  } else if (e == sim::Event::kEpochRollback && epoch_valid_) {
-    charged_ = epoch_charged_;
-  }
-}
-
-TraceDigest DigestRecorder::digest() const {
+TraceDigest digest(const sim::Machine& machine) {
   TraceDigest d;
-  const sim::Trace& t = machine_.trace();
-  const int P = machine_.nprocs();
+  const sim::Trace& t = machine.trace();
+  const int P = machine.nprocs();
   d.messages = t.messages();
   d.bytes = t.bytes();
   d.self_bytes = t.self_bytes();
@@ -44,11 +20,16 @@ TraceDigest DigestRecorder::digest() const {
   }
   d.sent_bytes.resize(static_cast<std::size_t>(P));
   d.recv_bytes.resize(static_cast<std::size_t>(P));
+  d.charged_us.resize(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
-    d.sent_bytes[static_cast<std::size_t>(r)] = t.sent_bytes(r);
-    d.recv_bytes[static_cast<std::size_t>(r)] = t.recv_bytes(r);
+    const auto rank = static_cast<std::size_t>(r);
+    d.sent_bytes[rank] = t.sent_bytes(r);
+    d.recv_bytes[rank] = t.recv_bytes(r);
+    for (int c = 0; c < sim::kNumCategories; ++c) {
+      d.charged_us[rank][static_cast<std::size_t>(c)] =
+          machine.modeled_us(r, static_cast<sim::Category>(c));
+    }
   }
-  d.charged_us = charged_;
   return d;
 }
 
@@ -85,9 +66,8 @@ DeterminismReport check_determinism(
     PUP_REQUIRE(machine != nullptr,
                 "determinism check needs a machine factory that returns a "
                 "machine");
-    DigestRecorder recorder(*machine);
     op(*machine);
-    return recorder.digest();
+    return digest(*machine);
   };
   DeterminismReport rep;
   rep.first = run();

@@ -24,7 +24,6 @@
 
 #include "sim/cost_model.hpp"
 #include "sim/machine.hpp"
-#include "sim/observer.hpp"
 
 namespace pup::analysis {
 
@@ -37,46 +36,19 @@ struct TraceDigest {
   std::array<std::int64_t, sim::kNumCategories> bytes_by_cat{};
   std::vector<std::int64_t> sent_bytes;  ///< per rank
   std::vector<std::int64_t> recv_bytes;  ///< per rank
-  /// Modeled time charged per rank and category (microseconds).  Fed by
-  /// Machine::charge only, so identical runs produce identical sums.
+  /// Modeled time charged per rank and category (microseconds), read from
+  /// Machine::modeled_us; fed by Machine::charge only, so identical runs
+  /// produce identical sums.
   std::vector<std::array<double, sim::kNumCategories>> charged_us;
 
   bool operator==(const TraceDigest&) const = default;
 };
 
-/// Observer that accumulates the modeled time charges of a run; combined
-/// with the machine's Trace it yields the run's TraceDigest.  It attaches
-/// alongside any other observers (say, a ProtocolValidator).
-///
-/// Epoch rollback awareness: the machine's trace is restored by
-/// Machine::rollback_epoch, but the recorder's charge accumulators live
-/// outside the machine, so the recorder mirrors the same protocol -- it
-/// parks a copy of its accumulators on Event::kEpochCheckpoint and
-/// restores it on Event::kEpochRollback.  Without this, charges of an
-/// aborted, rolled-back attempt would stick to the digest and break the
-/// recovered-run == fault-free-run identity.
-class DigestRecorder final : public sim::MachineObserver {
- public:
-  explicit DigestRecorder(sim::Machine& machine);
-  ~DigestRecorder() override;
-
-  DigestRecorder(const DigestRecorder&) = delete;
-  DigestRecorder& operator=(const DigestRecorder&) = delete;
-
-  /// Digest of everything observed so far plus the machine's current trace.
-  TraceDigest digest() const;
-
-  void on_charge(int rank, sim::Category cat, double us) override;
-  void on_event(sim::Event e) override;
-
- private:
-  sim::Machine& machine_;
-  std::vector<std::array<double, sim::kNumCategories>> charged_;
-  /// Accumulators parked at the last Event::kEpochCheckpoint; restored on
-  /// every Event::kEpochRollback (epoch_valid_ false = no checkpoint seen).
-  std::vector<std::array<double, sim::kNumCategories>> epoch_charged_;
-  bool epoch_valid_ = false;
-};
+/// Digest of the machine's current trace and modeled charges (everything
+/// since construction or the last reset_accounting; a rollback restores
+/// both to the checkpoint).  Reads the machine only, so it needs no
+/// observer and sees the same state under any epoch history.
+TraceDigest digest(const sim::Machine& machine);
 
 /// Human-readable first-difference description; "" when the digests match.
 std::string diff_digests(const TraceDigest& a, const TraceDigest& b);

@@ -1,11 +1,8 @@
 #include "analysis/protocol_validator.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <sstream>
 #include <utility>
-
-#include "support/check.hpp"
 
 namespace pup::analysis {
 
@@ -18,16 +15,12 @@ bool ProtocolValidator::drain_relaxed(const sim::Message& m) {
   return reliability_exempt(m) || m.wire.delayed;
 }
 
-ProtocolValidator::ProtocolValidator(sim::Machine& machine,
-                                     ValidatorOptions options)
-    : machine_(machine),
-      opts_(options),
-      round_(static_cast<std::size_t>(machine.nprocs())) {
+ProtocolValidator::ProtocolValidator(sim::Machine& machine)
+    : machine_(machine) {
   machine_.add_observer(this);
 }
 
 ProtocolValidator::~ProtocolValidator() {
-  in_destructor_ = true;  // never throw from a destructor
   finish();
   machine_.remove_observer(this);
 }
@@ -52,22 +45,15 @@ std::string ProtocolValidator::report() const {
 
 void ProtocolValidator::violate(const char* rule, std::string detail) {
   violations_.push_back(Violation{rule, std::move(detail)});
-  // Never throw from a destructor or while another exception unwinds: the
-  // instrumentation scope guards emit round/collective end annotations
-  // during the unwind of a transport failure, and the resulting records
-  // (made moot by the upcoming epoch rollback anyway) must not terminate
-  // the program.
-  if (opts_.fail_fast && !in_destructor_ && std::uncaught_exceptions() == 0) {
-    throw ContractError("protocol violation -- " + violations_.back().rule +
-                        ": " + violations_.back().detail);
-  }
 }
 
 std::string ProtocolValidator::context() const {
   std::ostringstream os;
   if (!scopes_.empty()) {
-    os << " [collective=" << scopes_.back().info.name
-       << " round=" << scopes_.back().round;
+    // The round index is the number of rounds completed in the scope.
+    const auto& b = block();
+    os << " [collective=" << b.name << " round="
+       << b.rounds.size() - (in_round_ && !b.rounds.empty() ? 1 : 0);
     if (!in_round_) os << " (between rounds)";
     os << ']';
   }
@@ -75,8 +61,14 @@ std::string ProtocolValidator::context() const {
   return os.str();
 }
 
-bool ProtocolValidator::tag_allowed(const Scope& scope, int tag) const {
-  const auto& tags = scope.info.tags;
+statics::Recording::Round& ProtocolValidator::sink() {
+  auto& b = recording_.blocks[scopes_.back()];
+  if (in_round_ && !b.rounds.empty()) return b.rounds.back();
+  return b.loose;
+}
+
+bool ProtocolValidator::tag_allowed(int tag) const {
+  const auto& tags = block().tags;
   return std::find(tags.begin(), tags.end(), tag) != tags.end();
 }
 
@@ -124,7 +116,7 @@ void ProtocolValidator::on_post(const sim::Message& m,
   if (relaxed) ++in_flight_relaxed_;
 
   if (scopes_.empty()) {
-    if (opts_.require_collective_scope && !reliability_exempt(m)) {
+    if (!reliability_exempt(m)) {
       std::ostringstream os;
       os << "post src=" << m.src << " dst=" << m.dst << " tag=" << m.tag
          << " outside any collective scope" << context();
@@ -132,36 +124,29 @@ void ProtocolValidator::on_post(const sim::Message& m,
     }
     return;
   }
+  const statics::Xfer xfer{m.src, m.dst, m.tag, m.size_bytes(), false};
   // NAK control frames and retransmissions/duplicates are the recovery
   // protocol's own traffic: declared by no collective and not bound by the
   // one-exchange-per-round discipline.
-  if (reliability_exempt(m)) return;
-  const Scope& scope = scopes_.back();
-  if (!tag_allowed(scope, m.tag)) {
+  if (reliability_exempt(m)) {
+    recording_.blocks[scopes_.back()].loose.posts.push_back(xfer);
+    return;
+  }
+  if (!tag_allowed(m.tag)) {
     std::ostringstream os;
     os << "post src=" << m.src << " dst=" << m.dst << " uses tag " << m.tag
        << " not declared by the collective" << context();
     violate("tag-discipline", os.str());
   }
-  if (scope.info.discipline == sim::RoundDiscipline::kMaxOneExchange) {
-    if (!in_round_) {
-      std::ostringstream os;
-      os << "post src=" << m.src << " dst=" << m.dst << " tag=" << m.tag
-         << " outside a round of a round-synchronized collective"
-         << context();
-      violate("exchange-outside-round", os.str());
-      return;
-    }
-    RankRound& rr = round_[static_cast<std::size_t>(m.src)];
-    if (++rr.sends > 1) {
-      std::ostringstream os;
-      os << "rank " << m.src << " sent " << rr.sends
-         << " messages in one round" << context();
-      violate("multiple-sends-per-round", os.str());
-    }
-    rr.max_sent_us = std::max(
-        rr.max_sent_us, machine_.message_us(m.src, m.dst, m.size_bytes()));
+  if (block().discipline == sim::RoundDiscipline::kMaxOneExchange &&
+      !in_round_) {
+    std::ostringstream os;
+    os << "post src=" << m.src << " dst=" << m.dst << " tag=" << m.tag
+       << " outside a round of a round-synchronized collective"
+       << context();
+    violate("exchange-outside-round", os.str());
   }
+  sink().posts.push_back(xfer);
 }
 
 void ProtocolValidator::on_receive(int rank, const sim::Message& m) {
@@ -190,35 +175,28 @@ void ProtocolValidator::on_receive(int rank, const sim::Message& m) {
   }
 
   if (scopes_.empty()) return;
+  const statics::Xfer xfer{m.src, rank, m.tag, m.size_bytes(), false};
   // Recovery traffic and delay-released copies are dealt with by the
   // reliable layer (dedup or drain); they are outside the round discipline.
-  if (reliability_exempt(m) || m.wire.delayed) return;
-  const Scope& scope = scopes_.back();
-  if (!tag_allowed(scope, m.tag)) {
+  if (reliability_exempt(m) || m.wire.delayed) {
+    recording_.blocks[scopes_.back()].loose.recvs.push_back(xfer);
+    return;
+  }
+  if (!tag_allowed(m.tag)) {
     std::ostringstream os;
     os << "rank " << rank << " received tag " << m.tag
        << " not declared by the collective" << context();
     violate("tag-discipline", os.str());
   }
-  if (scope.info.discipline == sim::RoundDiscipline::kMaxOneExchange) {
-    if (!in_round_) {
-      std::ostringstream os;
-      os << "rank " << rank << " received src=" << m.src << " tag=" << m.tag
-         << " outside a round of a round-synchronized collective"
-         << context();
-      violate("exchange-outside-round", os.str());
-      return;
-    }
-    RankRound& rr = round_[static_cast<std::size_t>(rank)];
-    if (++rr.recvs > 1) {
-      std::ostringstream os;
-      os << "rank " << rank << " received " << rr.recvs
-         << " messages in one round" << context();
-      violate("multiple-receives-per-round", os.str());
-    }
-    rr.max_recv_us = std::max(
-        rr.max_recv_us, machine_.message_us(m.src, rank, m.size_bytes()));
+  if (block().discipline == sim::RoundDiscipline::kMaxOneExchange &&
+      !in_round_) {
+    std::ostringstream os;
+    os << "rank " << rank << " received src=" << m.src << " tag=" << m.tag
+       << " outside a round of a round-synchronized collective"
+       << context();
+    violate("exchange-outside-round", os.str());
   }
+  sink().recvs.push_back(xfer);
 }
 
 void ProtocolValidator::on_expire(const sim::Message& m) {
@@ -247,7 +225,11 @@ void ProtocolValidator::on_expire(const sim::Message& m) {
 
 void ProtocolValidator::on_charge(int rank, sim::Category /*cat*/,
                                   double us) {
-  if (in_round_) round_[static_cast<std::size_t>(rank)].charged_us += us;
+  if (scopes_.empty()) {
+    recording_.outside_charges[rank] += us;
+  } else {
+    sink().charges[rank] += us;
+  }
 }
 
 void ProtocolValidator::on_collective_begin(const sim::CollectiveInfo& info) {
@@ -255,7 +237,8 @@ void ProtocolValidator::on_collective_begin(const sim::CollectiveInfo& info) {
   check_no_inflight("cross-phase-leakage",
                     "when a new collective began");
   check_no_delayed("when a new collective began");
-  scopes_.push_back(Scope{info, 0});
+  recording_.blocks.push_back({info.name, info.tags, info.discipline, {}, {}});
+  scopes_.push_back(recording_.blocks.size() - 1);
 }
 
 void ProtocolValidator::on_round_begin() {
@@ -263,9 +246,10 @@ void ProtocolValidator::on_round_begin() {
   if (scopes_.empty()) {
     violate("round-outside-collective",
             "round annotation outside any collective scope");
+  } else {
+    recording_.blocks[scopes_.back()].rounds.emplace_back();
   }
   in_round_ = true;
-  std::fill(round_.begin(), round_.end(), RankRound{});
 }
 
 void ProtocolValidator::on_round_end() {
@@ -274,21 +258,60 @@ void ProtocolValidator::on_round_end() {
   // traffic may straddle rounds (non-strict); the collective-end drain
   // sweeps it before the strict boundary checks run.
   check_no_inflight("orphaned-message", "at end of round", /*strict=*/false);
-  // Payload-size/cost conformance: each processor must have been charged at
-  // least the modeled cost of its largest message this round.
+  if (!scopes_.empty() && !block().rounds.empty() &&
+      block().discipline == sim::RoundDiscipline::kMaxOneExchange) {
+    check_round(block().rounds.back());
+  }
+  in_round_ = false;
+}
+
+void ProtocolValidator::check_round(const statics::Recording::Round& round) {
+  struct Tally {
+    int sends = 0;
+    int recvs = 0;
+    double bound_us = 0.0;  ///< modeled cost of the largest message moved
+  };
+  std::vector<Tally> tally(static_cast<std::size_t>(machine_.nprocs()));
+  for (const statics::Xfer& x : round.posts) {
+    Tally& t = tally[static_cast<std::size_t>(x.src)];
+    ++t.sends;
+    t.bound_us =
+        std::max(t.bound_us, machine_.message_us(x.src, x.dst, x.bytes));
+  }
+  for (const statics::Xfer& x : round.recvs) {
+    Tally& t = tally[static_cast<std::size_t>(x.dst)];
+    ++t.recvs;
+    t.bound_us =
+        std::max(t.bound_us, machine_.message_us(x.src, x.dst, x.bytes));
+  }
   for (int rank = 0; rank < machine_.nprocs(); ++rank) {
-    const RankRound& rr = round_[static_cast<std::size_t>(rank)];
-    const double bound = std::max(rr.max_sent_us, rr.max_recv_us);
-    if (bound > 0.0 && rr.charged_us + opts_.cost_tolerance_us < bound) {
+    const Tally& t = tally[static_cast<std::size_t>(rank)];
+    if (t.sends > 1) {
       std::ostringstream os;
-      os << "rank " << rank << " moved payload worth " << bound
-         << "us (tau + mu*m) this round but was charged only "
-         << rr.charged_us << "us" << context();
+      os << "rank " << rank << " sent " << t.sends
+         << " messages in one round" << context();
+      violate("multiple-sends-per-round", os.str());
+    }
+    if (t.recvs > 1) {
+      std::ostringstream os;
+      os << "rank " << rank << " received " << t.recvs
+         << " messages in one round" << context();
+      violate("multiple-receives-per-round", os.str());
+    }
+    // Payload-size/cost conformance: each processor must have been charged
+    // at least the modeled cost of its largest message this round.
+    const auto charged = round.charges.find(rank);
+    const double charged_us =
+        charged == round.charges.end() ? 0.0 : charged->second;
+    if (t.bound_us > 0.0 &&
+        charged_us + statics::kChargeToleranceUs < t.bound_us) {
+      std::ostringstream os;
+      os << "rank " << rank << " moved payload worth " << t.bound_us
+         << "us (tau + mu*m) this round but was charged only " << charged_us
+         << "us" << context();
       violate("undercharged-exchange", os.str());
     }
   }
-  in_round_ = false;
-  if (!scopes_.empty()) ++scopes_.back().round;
 }
 
 void ProtocolValidator::on_collective_end() {
@@ -318,9 +341,14 @@ void ProtocolValidator::on_event(sim::Event e) {
   // Epoch events arrive *after* the machine has acted (captured or
   // restored its state), so the validator mirrors it here.
   if (e == sim::Event::kEpochCheckpoint) {
-    epoch_ = EpochSnapshot{in_flight_,  in_flight_count_, in_flight_relaxed_,
-                           scopes_,     phases_,          in_round_,
-                           round_,      violations_};
+    std::vector<statics::Recording::Block> open_blocks;
+    for (const std::size_t b : scopes_) {
+      open_blocks.push_back(recording_.blocks[b]);
+    }
+    epoch_ = EpochSnapshot{in_flight_, in_flight_count_, in_flight_relaxed_,
+                           scopes_, phases_, in_round_,
+                           recording_.blocks.size(), std::move(open_blocks),
+                           recording_.outside_charges, violations_};
   } else if (e == sim::Event::kEpochRollback) {
     if (epoch_.has_value()) {
       in_flight_ = epoch_->in_flight;
@@ -329,7 +357,13 @@ void ProtocolValidator::on_event(sim::Event e) {
       scopes_ = epoch_->scopes;
       phases_ = epoch_->phases;
       in_round_ = epoch_->in_round;
-      round_ = epoch_->round;
+      // Drop the blocks the aborted epoch began, then put back the ones
+      // it could still write to.
+      recording_.blocks.resize(epoch_->recorded_blocks);
+      for (std::size_t i = 0; i < scopes_.size(); ++i) {
+        recording_.blocks[scopes_[i]] = epoch_->open_blocks[i];
+      }
+      recording_.outside_charges = epoch_->outside_charges;
       violations_ = epoch_->violations;
     } else {
       violate("unmatched-rollback",
@@ -342,6 +376,12 @@ void ProtocolValidator::on_event(sim::Event e) {
 void ProtocolValidator::on_reset() {
   check_no_inflight("cross-phase-leakage", "when accounting was reset");
   check_no_delayed("when accounting was reset");
+  // The recording restarts with the machine's trace.  Library code resets
+  // only between operations, with no scope open; a reset inside one
+  // closes it here, so its end reports an unbalanced scope.
+  recording_ = {};
+  scopes_.clear();
+  in_round_ = false;
 }
 
 }  // namespace pup::analysis

@@ -18,12 +18,22 @@
 //     appear on the wire;
 //   * round cardinality -- under RoundDiscipline::kMaxOneExchange each
 //     processor sends at most one and receives at most one message per
-//     round, and every round fully drains (no wrong-round exchanges);
+//     round (checked when the round ends), and every round fully drains
+//     (no wrong-round exchanges);
 //   * cross-phase isolation -- no messages may be in flight when a local
 //     phase or a new collective begins, or when accounting is reset;
 //   * payload-size/cost conformance -- a processor that moved m bytes in a
 //     round must have been charged at least the modeled cost of its largest
 //     message (tau + mu*m under the machine's topology).
+//
+// The round checks read the validator's Recording (analysis/static/
+// trace_check.hpp): every collective scope becomes a block, every round a
+// round, holding the transfers and the modeled charges made in it, plus
+// the charges made outside every scope.  The same recording is what
+// statics::check_trace() replays against a plan's static expansion, so a
+// validated run can also be proven to follow its compiled schedule round
+// for round.  The recording grows with the run and restarts when the
+// machine's accounting is reset, as the machine's trace does.
 //
 // Fault-injection awareness: the reliable layer (coll/reliable.hpp) and the
 // fault injector (sim/fault.hpp) produce traffic that legitimately bends
@@ -43,12 +53,14 @@
 // the machine back to an entry checkpoint when an operation fails mid-
 // flight.  The validator mirrors that: on Event::kEpochCheckpoint it
 // snapshots its own protocol state (in-flight records, open scopes, round
-// state, recorded violations) and on Event::kEpochRollback it restores
-// the snapshot, so sends and receives of the aborted epoch --
-// including the spurious "orphaned at end of collective" records produced
-// while scope guards unwind through the exception -- no longer count
-// toward drain or charge conformance.  The snapshot survives any number of
-// rollbacks, matching the machine's own checkpoint semantics.
+// state, the recording's length and open blocks, recorded violations) and
+// on Event::kEpochRollback it restores the snapshot, so sends and receives
+// of the aborted epoch -- including the spurious "orphaned at end of
+// collective" records produced while scope guards unwind through the
+// exception -- no longer count toward drain or charge conformance, and the
+// recording holds only the attempt that succeeded.  The snapshot survives
+// any number of rollbacks, matching the machine's own checkpoint
+// semantics.
 //
 // Delayed-queue hygiene: a delay-faulted message still held by the machine
 // at a cross-phase boundary would leak into the next operation, so at
@@ -58,10 +70,14 @@
 // leftovers and reports each through on_expire, which retires the
 // validator's in-flight record for the expired message.
 //
-// Violations are recorded (and optionally thrown); `ok()` / `violations()` /
-// `report()` expose the outcome.  The validator is a pure observer: it never
-// changes message flow, timing, or the trace, so a validated run computes
-// bit-for-bit the same results as an unvalidated one.
+// Violations are recorded, never thrown; `ok()` / `violations()` /
+// `report()` expose the outcome.  Traffic outside every collective scope
+// is always a violation ("unscoped-post"): library code posts only inside
+// annotated collectives, and raw posts are exactly the unannotated
+// back-channels the validator exists to ban.  The validator is a pure
+// observer: it never changes message flow, timing, or the trace, so a
+// validated run computes bit-for-bit the same results as an unvalidated
+// one.
 //
 // The validator needs no locking of its own: the Machine serializes all
 // observer callbacks through its internal mutex (see sim/machine.hpp), so
@@ -78,6 +94,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/static/trace_check.hpp"
 #include "sim/machine.hpp"
 #include "sim/observer.hpp"
 
@@ -86,17 +103,6 @@ namespace pup::analysis {
 struct Violation {
   std::string rule;    ///< stable identifier, e.g. "orphaned-message"
   std::string detail;  ///< human-readable context
-};
-
-struct ValidatorOptions {
-  /// Throw pup::ContractError at the first violation instead of recording.
-  bool fail_fast = false;
-  /// Treat transport traffic outside any collective scope as a violation.
-  /// Library code always posts inside an annotated collective; raw posts
-  /// are exactly the unannotated back-channels the validator exists to ban.
-  bool require_collective_scope = true;
-  /// Absolute slack (microseconds) for the payload-cost conformance check.
-  double cost_tolerance_us = 1e-6;
 };
 
 struct ValidatorStats {
@@ -109,8 +115,7 @@ struct ValidatorStats {
 
 class ProtocolValidator final : public sim::MachineObserver {
  public:
-  explicit ProtocolValidator(sim::Machine& machine,
-                             ValidatorOptions options = {});
+  explicit ProtocolValidator(sim::Machine& machine);
   ~ProtocolValidator() override;
 
   ProtocolValidator(const ProtocolValidator&) = delete;
@@ -125,6 +130,9 @@ class ProtocolValidator final : public sim::MachineObserver {
   const ValidatorStats& stats() const { return stats_; }
   /// All violations joined into one newline-separated report ("" when ok).
   std::string report() const;
+  /// The run's communication structure since attachment or the last
+  /// reset, for statics::check_trace (see the header comment).
+  const statics::Recording& recording() const { return recording_; }
 
   // --- MachineObserver --------------------------------------------------
   void on_post(const sim::Message& m, sim::Category cat) override;
@@ -141,21 +149,6 @@ class ProtocolValidator final : public sim::MachineObserver {
   void on_reset() override;
 
  private:
-  /// Per-processor state of the current round.
-  struct RankRound {
-    int sends = 0;
-    int recvs = 0;
-    double max_sent_us = 0.0;  ///< modeled cost of the largest message sent
-    double max_recv_us = 0.0;
-    double charged_us = 0.0;   ///< modeled time charged during the round
-  };
-
-  /// One open collective scope (copied from the annotation).
-  struct Scope {
-    sim::CollectiveInfo info;
-    std::int64_t round = 0;  ///< rounds completed in this scope
-  };
-
   /// One undelivered message.  `relaxed` marks reliability/fault traffic
   /// (NAKs, retransmissions, duplicates, delayed copies) that may outlive
   /// the round that posted it; the collective-end drain still accounts for
@@ -166,21 +159,36 @@ class ProtocolValidator final : public sim::MachineObserver {
   };
 
   /// The validator's protocol state at an epoch checkpoint, restored
-  /// verbatim when the machine rolls back (see the header comment).
+  /// verbatim when the machine rolls back (see the header comment).  The
+  /// recording is append-only outside its open blocks, so the snapshot
+  /// keeps its length and copies only what can still change: the open
+  /// blocks and the outside-collective charges.  Taking one costs the
+  /// open state, not the whole run.
   struct EpochSnapshot {
     std::map<std::tuple<int, int, int>, std::deque<PostRecord>> in_flight;
     std::size_t in_flight_count = 0;
     std::size_t in_flight_relaxed = 0;
-    std::vector<Scope> scopes;
+    std::vector<std::size_t> scopes;
     std::vector<const char*> phases;
     bool in_round = false;
-    std::vector<RankRound> round;
+    std::size_t recorded_blocks = 0;
+    std::vector<statics::Recording::Block> open_blocks;  ///< one per scope
+    std::map<int, double> outside_charges;
     std::vector<Violation> violations;
   };
 
   void violate(const char* rule, std::string detail);
   std::string context() const;
-  bool tag_allowed(const Scope& scope, int tag) const;
+  /// The recorded block of the innermost open collective scope.
+  const statics::Recording::Block& block() const {
+    return recording_.blocks[scopes_.back()];
+  }
+  /// Where traffic and charges inside the innermost scope are recorded:
+  /// its open round, or its loose round between rounds.
+  statics::Recording::Round& sink();
+  bool tag_allowed(int tag) const;
+  /// Cardinality and cost conformance of the round that just ended.
+  void check_round(const statics::Recording::Round& round);
   /// `strict` also counts relaxed (reliability/fault) records; round-end
   /// drains pass false, every other boundary stays strict.
   void check_no_inflight(const char* rule, const char* when,
@@ -196,9 +204,7 @@ class ProtocolValidator final : public sim::MachineObserver {
   static bool drain_relaxed(const sim::Message& m);
 
   sim::Machine& machine_;
-  ValidatorOptions opts_;
   bool finished_ = false;
-  bool in_destructor_ = false;
 
   /// Undelivered messages keyed by (src, dst, tag), in post order (FIFO
   /// matches the mailbox discipline).
@@ -206,10 +212,11 @@ class ProtocolValidator final : public sim::MachineObserver {
   std::size_t in_flight_count_ = 0;
   std::size_t in_flight_relaxed_ = 0;
 
-  std::vector<Scope> scopes_;        ///< open collective scopes (stack)
+  /// Open collective scopes (stack), as indices into recording_.blocks.
+  std::vector<std::size_t> scopes_;
   std::vector<const char*> phases_;  ///< open phase names (stack)
   bool in_round_ = false;
-  std::vector<RankRound> round_;     ///< per-rank state, size nprocs
+  statics::Recording recording_;
 
   std::vector<Violation> violations_;
   ValidatorStats stats_;

@@ -19,8 +19,9 @@ std::string xfer_str(int src, int dst, int tag, std::size_t bytes) {
   return os.str();
 }
 
-bool close(double a, double b, double tol) {
-  return std::abs(a - b) <= tol + 1e-9 * std::max(std::abs(a), std::abs(b));
+bool close(double a, double b) {
+  return std::abs(a - b) <=
+         kChargeToleranceUs + 1e-9 * std::max(std::abs(a), std::abs(b));
 }
 
 bool block_is_bounded(const BlockIR& block) {
@@ -40,7 +41,7 @@ void add(std::vector<std::string>& issues, const std::string& where,
 /// Exact comparison: recorded multisets and charges equal the IR's.
 void compare_exact_round(std::vector<std::string>& issues,
                          const std::string& where, const RoundIR& ir,
-                         const ScheduleRecorder::Round& rec, double tol) {
+                         const Recording::Round& rec) {
   auto diff_multisets = [&](const std::vector<Xfer>& a,
                             const std::vector<Xfer>& b, const char* what) {
     std::map<XferKey, int> balance;
@@ -64,7 +65,7 @@ void compare_exact_round(std::vector<std::string>& issues,
   for (const RankCharge& c : ir.charges) ir_charge[c.rank] += c.us;
   for (const auto& [rank, us] : rec.charges) ir_charge[rank] -= us;
   for (const auto& [rank, us] : ir_charge) {
-    if (close(us, 0.0, tol)) continue;
+    if (close(us, 0.0)) continue;
     std::ostringstream os;
     os << "rank " << rank << " charge differs from the prediction by " << us
        << "us";
@@ -76,7 +77,7 @@ void compare_exact_round(std::vector<std::string>& issues,
 /// bound with the same endpoints+tag, and charges must not exceed the IR's.
 void compare_bounded_round(std::vector<std::string>& issues,
                            const std::string& where, const RoundIR& ir,
-                           const ScheduleRecorder::Round& rec, double tol) {
+                           const Recording::Round& rec) {
   auto fit_under = [&](const std::vector<Xfer>& bounds,
                        const std::vector<Xfer>& actual, const char* what) {
     // Endpoint pairs are unique within an M2M round, so (src, dst, tag)
@@ -108,7 +109,7 @@ void compare_bounded_round(std::vector<std::string>& issues,
   for (const RankCharge& c : ir.charges) ir_charge[c.rank] += c.us;
   for (const auto& [rank, us] : rec.charges) {
     const double bound = ir_charge.count(rank) ? ir_charge[rank] : 0.0;
-    if (us <= bound + tol) continue;
+    if (us <= bound + kChargeToleranceUs) continue;
     std::ostringstream os;
     os << "rank " << rank << " charged " << us
        << "us, exceeding the static bound of " << bound << "us";
@@ -118,68 +119,12 @@ void compare_bounded_round(std::vector<std::string>& issues,
 
 }  // namespace
 
-ScheduleRecorder::Round& ScheduleRecorder::sink() {
-  Block& block = blocks_.back();
-  if (in_round_) return block.rounds.back();
-  return block.loose;
-}
-
-void ScheduleRecorder::reset() {
-  blocks_.clear();
-  outside_charges_.clear();
-  in_collective_ = false;
-  in_round_ = false;
-}
-
-void ScheduleRecorder::on_post(const sim::Message& m, sim::Category) {
-  if (!in_collective_) return;
-  sink().posts.push_back({m.src, m.dst, m.tag, m.payload.size(), false});
-}
-
-void ScheduleRecorder::on_receive(int rank, const sim::Message& m) {
-  if (!in_collective_) return;
-  sink().recvs.push_back({m.src, rank, m.tag, m.payload.size(), false});
-}
-
-void ScheduleRecorder::on_charge(int rank, sim::Category, double us) {
-  if (!in_collective_) {
-    outside_charges_[rank] += us;
-    return;
-  }
-  sink().charges[rank] += us;
-}
-
-void ScheduleRecorder::on_collective_begin(const sim::CollectiveInfo& info) {
-  Block block;
-  block.name = info.name;
-  block.tags = info.tags;
-  block.discipline = info.discipline;
-  blocks_.push_back(std::move(block));
-  in_collective_ = true;
-}
-
-void ScheduleRecorder::on_round_begin() {
-  if (!in_collective_) return;
-  blocks_.back().rounds.emplace_back();
-  in_round_ = true;
-}
-
-void ScheduleRecorder::on_round_end() { in_round_ = false; }
-
-void ScheduleRecorder::on_collective_end() {
-  in_collective_ = false;
-  in_round_ = false;
-}
-
-void ScheduleRecorder::on_reset() { reset(); }
-
-TraceCheckResult check_trace(const ScheduleRecorder& recorder,
-                             const CommSchedule& schedule,
-                             double tolerance_us) {
+TraceCheckResult check_trace(const Recording& recording,
+                             const CommSchedule& schedule) {
   TraceCheckResult result;
   std::map<int, double> expected_outside;
   std::size_t next_recorded = 0;
-  const auto& recorded = recorder.blocks();
+  const auto& recorded = recording.blocks;
 
   for (std::size_t bi = 0; bi < schedule.blocks.size(); ++bi) {
     const BlockIR& ir = schedule.blocks[bi];
@@ -201,7 +146,7 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
           "predicted but the execution ran no further collectives");
       continue;
     }
-    const ScheduleRecorder::Block& rec = recorded[next_recorded++];
+    const Recording::Block& rec = recorded[next_recorded++];
     if (rec.name != ir.name) {
       add(result.issues, where,
           "execution ran collective \"" + rec.name + "\" here instead");
@@ -215,11 +160,12 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
       add(result.issues, where, "declared tag set differs from the IR's");
     }
 
-    const bool bounded = block_is_bounded(ir);
+    const auto compare =
+        block_is_bounded(ir) ? compare_bounded_round : compare_exact_round;
     if (ir.discipline == Discipline::kUnordered) {
       // No round structure: the IR's single round against everything the
       // collective did (rounds would be empty, but fold any in anyway).
-      ScheduleRecorder::Round all = rec.loose;
+      Recording::Round all = rec.loose;
       for (const auto& r : rec.rounds) {
         all.posts.insert(all.posts.end(), r.posts.begin(), r.posts.end());
         all.recvs.insert(all.recvs.end(), r.recvs.begin(), r.recvs.end());
@@ -229,13 +175,7 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
         add(result.issues, where, "unordered IR block must have one round");
         continue;
       }
-      if (bounded) {
-        compare_bounded_round(result.issues, where, ir.rounds[0], all,
-                              tolerance_us);
-      } else {
-        compare_exact_round(result.issues, where, ir.rounds[0], all,
-                            tolerance_us);
-      }
+      compare(result.issues, where, ir.rounds[0], all);
       continue;
     }
 
@@ -251,7 +191,7 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
           "round-synchronized collective moved messages outside any round");
     }
     for (const auto& [rank, us] : rec.loose.charges) {
-      if (close(us, 0.0, tolerance_us)) continue;
+      if (close(us, 0.0)) continue;
       std::ostringstream os;
       os << "round-synchronized collective charged rank " << rank << " "
          << us << "us outside any round";
@@ -260,13 +200,7 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
     for (std::size_t ri = 0; ri < ir.rounds.size(); ++ri) {
       std::ostringstream ros;
       ros << where << " round " << ri;
-      if (bounded) {
-        compare_bounded_round(result.issues, ros.str(), ir.rounds[ri],
-                              rec.rounds[ri], tolerance_us);
-      } else {
-        compare_exact_round(result.issues, ros.str(), ir.rounds[ri],
-                            rec.rounds[ri], tolerance_us);
-      }
+      compare(result.issues, ros.str(), ir.rounds[ri], rec.rounds[ri]);
     }
   }
 
@@ -282,10 +216,10 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
   // them.  Loose charges inside round-synchronized collectives (exscan's
   // charge_oneway fires at post time, inside the round) are part of the
   // per-round comparison above, so this closes the ledger.
-  std::map<int, double> outside = recorder.outside_charges();
+  std::map<int, double> outside = recording.outside_charges;
   for (const auto& [rank, us] : expected_outside) outside[rank] -= us;
   for (const auto& [rank, us] : outside) {
-    if (close(us, 0.0, tolerance_us)) continue;
+    if (close(us, 0.0)) continue;
     std::ostringstream os;
     os << "rank " << rank << " outside-collective charge differs from the "
        << "prediction by " << us << "us";

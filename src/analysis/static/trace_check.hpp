@@ -4,11 +4,11 @@
 //
 // The static verifier (verifier.hpp) proves the IR self-consistent and
 // conformant with the closed forms -- but all three artifacts are computed
-// from the plan.  This is the independent leg: a ScheduleRecorder observes
+// from the plan.  This is the independent leg: the dynamic
+// ProtocolValidator (analysis/protocol_validator.hpp) fills a Recording of
 // a live machine (collective scopes, rounds, posts, receives, modeled
-// charges -- the same hooks the dynamic ProtocolValidator consumes), and
-// check_trace() aligns the recording block-by-block and round-by-round with
-// the CommSchedule:
+// charges) while it polices the run, and check_trace() aligns that
+// recording block-by-block and round-by-round with the CommSchedule:
 //
 //   * exact blocks (ranking PRS): the recorded post/receive multisets and
 //     per-rank charges must EQUAL the IR's, round for round;
@@ -23,7 +23,7 @@
 // A schedule change that drifts from the expansion -- a new round, a
 // different partner, an extra tau -- fails this check even if the expansion
 // and closed forms agree with each other.
-// lint: allow-no-preconditions -- observer + comparator; mismatches are
+// lint: allow-no-preconditions -- plain data + comparator; mismatches are
 // reported findings, not precondition violations.
 #pragma once
 
@@ -33,16 +33,17 @@
 #include <vector>
 
 #include "analysis/static/comm_ir.hpp"
-#include "sim/message.hpp"
 #include "sim/observer.hpp"
 
 namespace pup::analysis::statics {
 
-/// Observer that records the communication structure of one execution.
-/// Attach via Machine::add_observer before executing the plan; the
-/// recording accumulates until reset().
-class ScheduleRecorder final : public sim::MachineObserver {
- public:
+/// The communication structure of one execution, as plain data; the
+/// ProtocolValidator fills it.  Traffic outside every collective scope is
+/// not recorded (only its charges are).  Inside a scope, traffic the round
+/// discipline exempts -- the reliable layer's NAKs, retransmissions and
+/// injected duplicates, and the late receive of a delay-faulted message --
+/// lands in the block's `loose` round, never in a numbered one.
+struct Recording {
   struct Round {
     std::vector<Xfer> posts;
     std::vector<Xfer> recvs;
@@ -58,27 +59,9 @@ class ScheduleRecorder final : public sim::MachineObserver {
     Round loose;
   };
 
-  const std::vector<Block>& blocks() const { return blocks_; }
-  const std::map<int, double>& outside_charges() const {
-    return outside_charges_;
-  }
-  void reset();
-
-  void on_post(const sim::Message& m, sim::Category cat) override;
-  void on_receive(int rank, const sim::Message& m) override;
-  void on_charge(int rank, sim::Category cat, double us) override;
-  void on_collective_begin(const sim::CollectiveInfo& info) override;
-  void on_round_begin() override;
-  void on_round_end() override;
-  void on_collective_end() override;
-  void on_reset() override;
-
- private:
-  Round& sink();
-  std::vector<Block> blocks_;
-  std::map<int, double> outside_charges_;
-  bool in_collective_ = false;
-  bool in_round_ = false;
+  std::vector<Block> blocks;
+  /// Modeled charges made outside every collective scope, per rank.
+  std::map<int, double> outside_charges;
 };
 
 struct TraceCheckResult {
@@ -86,10 +69,12 @@ struct TraceCheckResult {
   bool ok() const { return issues.empty(); }
 };
 
-/// Aligns a recording with the static schedule.  `tolerance_us` bounds the
-/// acceptable double-accumulation noise on charge comparisons.
-TraceCheckResult check_trace(const ScheduleRecorder& recorder,
-                             const CommSchedule& schedule,
-                             double tolerance_us = 1e-6);
+/// Absolute slack (microseconds) for charge comparisons: bounds the
+/// double-accumulation noise of summing tau + mu*m terms in another order.
+inline constexpr double kChargeToleranceUs = 1e-6;
+
+/// Aligns a recording with the static schedule.
+TraceCheckResult check_trace(const Recording& recording,
+                             const CommSchedule& schedule);
 
 }  // namespace pup::analysis::statics

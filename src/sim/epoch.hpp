@@ -15,8 +15,8 @@
 //   * real wall-clock buckets are restored along with the modeled ones
 //     (they live in the same TimeBreakdown), which is fine: determinism
 //     digests exclude them by construction.
-//   * the attached observers: validators and digest recorders live outside
-//     the epoch and learn about rollbacks through the
+//   * the attached observers: a protocol validator lives outside the
+//     epoch and learns about rollbacks through the
 //     Event::kEpochCheckpoint / kEpochRollback events instead.
 //
 // Checkpoints are snapshots, not journals: taking one is O(state), rolling
@@ -65,7 +65,7 @@ class EpochCheckpoint {
   std::vector<Message> delayed_msgs;
   std::vector<int> delayed_ticks;
   std::vector<std::string> annotation_stack;
-  std::vector<double> modeled_us;
+  std::vector<TimeBreakdown> modeled_us;
   /// Deep copy of the reliable transport's state at capture, made through
   /// the cloner the transport registers on the machine; nullptr when the
   /// reliable layer was never instantiated.

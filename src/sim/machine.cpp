@@ -121,7 +121,7 @@ Machine::Machine(int nprocs, CostModel cost, Topology topology,
       mailboxes_(static_cast<std::size_t>(nprocs)),
       times_(static_cast<std::size_t>(nprocs)),
       trace_(nprocs),
-      modeled_us_(static_cast<std::size_t>(nprocs), 0.0),
+      modeled_us_(static_cast<std::size_t>(nprocs)),
       arenas_(static_cast<std::size_t>(nprocs)) {
   PUP_REQUIRE(nprocs >= 1, "machine needs at least one processor");
   PUP_REQUIRE(topology_.nprocs() == nprocs,
@@ -252,8 +252,8 @@ std::unique_ptr<FaultPlan> Machine::take_fault_plan() {
 }
 
 void Machine::expire_delayed() {
-  // Swap the queue out first so an observer that throws (a fail-fast
-  // validator) cannot leave expired messages behind.
+  // Swap the queue out first so an observer that throws cannot leave
+  // expired messages behind.
   std::deque<DelayedMessage> expired;
   expired.swap(delayed_);
   if (faults_ != nullptr) {
@@ -267,7 +267,7 @@ void Machine::expire_delayed() {
 
 double Machine::modeled_total_us() const {
   double total = 0.0;
-  for (const double us : modeled_us_) total += us;
+  for (const TimeBreakdown& t : modeled_us_) total += t.total_us();
   return total;
 }
 
@@ -392,7 +392,7 @@ void Machine::reset_accounting() {
   notify([](MachineObserver& o) { o.on_reset(); });
   for (auto& t : times_) t.reset();
   trace_.reset();
-  std::fill(modeled_us_.begin(), modeled_us_.end(), 0.0);
+  for (auto& t : modeled_us_) t.reset();
 }
 
 bool Machine::mailboxes_empty() const {

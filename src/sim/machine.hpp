@@ -28,8 +28,15 @@
 // Collectives and the transport (post/receive/charge) always run on the
 // calling thread, outside any parallel region.  Observer callbacks are
 // serialized through an internal mutex, so attached observers (say, a
-// ProtocolValidator and a DigestRecorder side by side) need no locking of
-// their own under either policy.
+// ProtocolValidator and a test's event counter side by side) need no
+// locking of their own under either policy.
+//
+// The machine keeps its own modeled-charge books: every charge() lands in
+// a per-rank x Category total (modeled_us), next to the message trace.
+// Both are part of the epoch checkpoint and both clear on
+// reset_accounting, so a run's determinism digest
+// (analysis::digest(const Machine&)) is read straight off the machine and
+// needs no observer.
 //
 // The machine is its own execution engine: it holds one deque Mailbox per
 // processor (messages move by std::move on the schedule thread) and, for
@@ -226,10 +233,17 @@ class Machine {
     poll_cancellation_slow();
   }
 
-  /// Sum of all modeled charge() calls across ranks since construction or
-  /// the last reset/rollback.  Excludes real wall-clock timers, so the
-  /// value is deterministic; the recovery executor differences it around
-  /// an attempt to measure the modeled time a rollback discards.
+  /// Sum of the modeled charge() calls to `rank` in `cat` since
+  /// construction or the last reset (a rollback restores the checkpoint's
+  /// value).  Excludes real wall-clock timers, so the value is
+  /// deterministic.
+  double modeled_us(int rank, Category cat) const {
+    return modeled_us_[static_cast<std::size_t>(rank)][cat];
+  }
+
+  /// modeled_us summed over every rank and category; the recovery executor
+  /// differences it around an attempt to measure the modeled time a
+  /// rollback discards.
   double modeled_total_us() const;
 
   /// Registers the deep-copy function for the opaque reliable_state()
@@ -264,7 +278,7 @@ class Machine {
   /// observer forwarding is serialized.
   void charge(int rank, Category cat, double us) {
     times_[static_cast<std::size_t>(rank)][cat] += us;
-    modeled_us_[static_cast<std::size_t>(rank)] += us;
+    modeled_us_[static_cast<std::size_t>(rank)][cat] += us;
     notify([&](MachineObserver& o) { o.on_charge(rank, cat, us); });
   }
 
@@ -302,9 +316,8 @@ class Machine {
   // --- instrumentation --------------------------------------------------
 
   /// Attaches an observer (non-owning).  Every attached observer sees
-  /// every hook, in attach order, so an earlier observer has seen an event
-  /// before a later fail-fast validator throws on it.  Must not be called
-  /// while a local phase is running.
+  /// every hook, in attach order.  Must not be called while a local phase
+  /// is running.
   void add_observer(MachineObserver* obs) {
     PUP_REQUIRE(obs != nullptr, "cannot attach a null observer");
     observers_.push_back(obs);
@@ -437,10 +450,9 @@ class Machine {
   std::vector<std::string> annotation_stack_;
   std::shared_ptr<void> reliable_state_;
   ReliableCloner reliable_cloner_;
-  /// Modeled charges per rank (charge() only; no wall-clock), summed by
-  /// modeled_total_us().  Rank-private slots, same concurrency contract as
-  /// times_.
-  std::vector<double> modeled_us_;
+  /// Modeled charges per rank and category (charge() only; no
+  /// wall-clock).  Rank-private slots, same concurrency contract as times_.
+  std::vector<TimeBreakdown> modeled_us_;
   /// Rank-private payload-buffer arenas (payload_arena()).  Not part of
   /// modeled state: checkpoints skip them, rollback purges them, and
   /// reset_accounting leaves them alone so warm capacity carries across

@@ -127,11 +127,10 @@ RunResult run_collectives(sim::ExecPolicy exec, const char* fault_spec) {
   sim::Machine m = make_machine(exec);
   m.set_fault_plan(fault_spec == nullptr ? nullptr
                                          : sim::FaultPlan::parse(fault_spec));
-  analysis::DigestRecorder recorder(m);
   RunResult out;
   out.results = run_all_collectives(m);
   EXPECT_TRUE(m.mailboxes_empty());
-  out.digest = recorder.digest();
+  out.digest = analysis::digest(m);
   return out;
 }
 
@@ -174,7 +173,6 @@ PupResult run_pack_unpack(sim::ExecPolicy exec, const char* fault_spec) {
   auto array = dist::DistArray<std::int64_t>::scatter(d, data);
   auto mask = dist::DistArray<mask_t>::scatter(d, gm);
 
-  analysis::DigestRecorder recorder(m);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
   auto packed = pack(m, array, mask, opt);
@@ -185,7 +183,7 @@ PupResult run_pack_unpack(sim::ExecPolicy exec, const char* fault_spec) {
   out.restored = restored.result.gather();
   EXPECT_EQ(out.packed, serial_pack<std::int64_t>(data, gm));
   EXPECT_EQ(out.restored, data);
-  out.digest = recorder.digest();
+  out.digest = analysis::digest(m);
   return out;
 }
 
@@ -219,7 +217,6 @@ TEST(ExecParity, ResilientRecoveryFromKillIdenticalUnderBothPolicies) {
     const plan::PackPlan plan =
         plan::compile_pack_plan(m, d, sizeof(std::int64_t), opt);
     m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
-    analysis::DigestRecorder rec(m);
     RecoveryPolicy pol;
     pol.max_restarts = 3;
     plan::ResilientExecutor exec(m, pol);
@@ -227,7 +224,7 @@ TEST(ExecParity, ResilientRecoveryFromKillIdenticalUnderBothPolicies) {
     EXPECT_EQ(got.vector.gather(), serial_pack<std::int64_t>(data, gm));
     EXPECT_EQ(exec.stats().restarts, 1);
     EXPECT_EQ(m.epochs_rolled_back(), 1);
-    return std::make_tuple(got.vector.gather(), rec.digest());
+    return std::make_tuple(got.vector.gather(), analysis::digest(m));
   };
   const auto seq = run(kSequential);
   const auto thr = run(kThreaded);

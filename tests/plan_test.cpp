@@ -65,16 +65,14 @@ TEST(Plan, CompileThenExecuteMatchesDirectPath) {
     opt.scheme = s;
 
     machine.reset_accounting();
-    analysis::DigestRecorder direct_rec(machine);
     auto direct = pack(machine, wl.array, wl.mask, opt);
-    const auto direct_digest = direct_rec.digest();
+    const auto direct_digest = analysis::digest(machine);
 
     const plan::PackPlan p =
         plan::compile_pack_plan(machine, wl.d, sizeof(std::int64_t), opt);
     machine.reset_accounting();
-    analysis::DigestRecorder plan_rec(machine);
     auto planned = plan::pack_with_plan(machine, p, wl.array, wl.mask);
-    const auto plan_digest = plan_rec.digest();
+    const auto plan_digest = analysis::digest(machine);
 
     EXPECT_EQ(planned.vector.gather(), direct.vector.gather());
     EXPECT_EQ(planned.size, direct.size);
@@ -106,16 +104,14 @@ TEST(Plan, UnpackCompileThenExecuteMatchesDirectPath) {
     opt.scheme = s;
 
     machine.reset_accounting();
-    analysis::DigestRecorder direct_rec(machine);
     auto direct = unpack(machine, v, mask, field, opt);
-    const auto direct_digest = direct_rec.digest();
+    const auto direct_digest = analysis::digest(machine);
 
     const plan::UnpackPlan p =
         plan::compile_unpack_plan(machine, d, vd, sizeof(double), opt);
     machine.reset_accounting();
-    analysis::DigestRecorder plan_rec(machine);
     auto planned = plan::unpack_with_plan(machine, p, v, mask, field);
-    const auto plan_digest = plan_rec.digest();
+    const auto plan_digest = analysis::digest(machine);
 
     EXPECT_EQ(planned.result.gather(), direct.result.gather());
     EXPECT_EQ(plan_digest, direct_digest)

@@ -22,7 +22,6 @@ namespace pup {
 namespace {
 
 using analysis::ProtocolValidator;
-using analysis::ValidatorOptions;
 
 sim::Machine make_machine(int p) {
   return sim::Machine(p, sim::CostModel{10.0, 0.05, 0.01});
@@ -163,7 +162,7 @@ TEST(ProtocolValidator, SeededOrphanedPostSilentlyAcceptedWithoutValidator) {
   // The same operation under validation is rejected as an orphaned message.
   sim::Machine checked = make_machine(4);
   {
-    ProtocolValidator validator(checked, ValidatorOptions{});
+    ProtocolValidator validator(checked);
     seeded_bug(checked);
     validator.finish();
     EXPECT_FALSE(validator.ok());
@@ -283,23 +282,11 @@ TEST(ProtocolValidator, UnscopedPostRejected) {
   (void)machine.receive_required(1, 0, 5);
   validator.finish();
   EXPECT_TRUE(has_rule(validator, "unscoped-post")) << validator.report();
-
-  // The same traffic is fine when raw transport use is explicitly allowed.
-  sim::Machine permissive = make_machine(4);
-  ValidatorOptions opts;
-  opts.require_collective_scope = false;
-  ProtocolValidator lax(permissive, opts);
-  permissive.post(sim::Message{0, 1, 5, payload_of(1)}, sim::Category::kM2M);
-  (void)permissive.receive_required(1, 0, 5);
-  lax.finish();
-  EXPECT_TRUE(lax.ok()) << lax.report();
 }
 
 TEST(ProtocolValidator, CrossPhaseLeakageRejected) {
   sim::Machine machine = make_machine(4);
-  ValidatorOptions opts;
-  opts.require_collective_scope = false;
-  ProtocolValidator validator(machine, opts);
+  ProtocolValidator validator(machine);
 
   machine.post(sim::Message{0, 1, 5, payload_of(1)}, sim::Category::kM2M);
   // A local phase starts while the message is still in flight.
@@ -347,21 +334,11 @@ TEST(ProtocolValidator, RoundOutsideCollectiveRejected) {
       << validator.report();
 }
 
-TEST(ProtocolValidator, FailFastThrowsContractError) {
-  sim::Machine machine = make_machine(4);
-  ValidatorOptions opts;
-  opts.fail_fast = true;
-  ProtocolValidator validator(machine, opts);
-  EXPECT_THROW(machine.post(sim::Message{0, 1, 5, payload_of(1)},
-                            sim::Category::kM2M),
-               ContractError);
-  (void)machine.receive(1, 0, 5);
-}
-
 TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
-  // A validator, a digest recorder and a counting observer attached at
-  // once each see the whole event stream of a fail-stop recovery pack: the
-  // kill, the rollback and the re-execution.
+  // A validator and a counting observer attached at once each see the
+  // whole event stream of a fail-stop recovery pack -- the kill, the
+  // rollback and the re-execution -- and neither perturbs the machine's
+  // digest.
   const int P = 8;
   const dist::index_t n = 2048;
   const auto d = dist::Distribution::block_cyclic(
@@ -390,7 +367,7 @@ TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
     }
   };
 
-  // Reference: the same recovery pack with a lone digest recorder.
+  // Reference: the same recovery pack with no observer attached.
   analysis::TraceDigest solo;
   std::vector<std::int64_t> solo_result;
   {
@@ -398,10 +375,9 @@ TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
     const plan::PackPlan plan =
         plan::compile_pack_plan(m, d, sizeof(std::int64_t), opt);
     m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
-    analysis::DigestRecorder rec(m);
     plan::ResilientExecutor exec(m, pol);
     solo_result = exec.pack(plan, array, mask).vector.gather();
-    solo = rec.digest();
+    solo = analysis::digest(m);
     ASSERT_EQ(exec.stats().restarts, 1);
   }
 
@@ -410,14 +386,14 @@ TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
       plan::compile_pack_plan(m, d, sizeof(std::int64_t), opt);
   m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
   auto validator = std::make_unique<ProtocolValidator>(m);
-  analysis::DigestRecorder rec(m);
   Counter counter;
   m.add_observer(&counter);
   plan::ResilientExecutor exec(m, pol);
   EXPECT_EQ(exec.pack(plan, array, mask).vector.gather(), solo_result);
   EXPECT_EQ(exec.stats().restarts, 1);
 
-  EXPECT_EQ(rec.digest(), solo) << analysis::diff_digests(rec.digest(), solo);
+  EXPECT_EQ(analysis::digest(m), solo)
+      << analysis::diff_digests(analysis::digest(m), solo);
   EXPECT_GT(counter.posts, 0);
   EXPECT_EQ(validator->stats().posts, counter.posts);
   EXPECT_EQ(validator->stats().receives, counter.receives);
@@ -429,18 +405,19 @@ TEST(ProtocolValidator, ObserversFanOutOverOneEventStream) {
   EXPECT_TRUE(validator->ok()) << validator->report();
 
   // Detach in non-LIFO order: the first-attached validator goes first, then
-  // the last-attached counter; whoever is left keeps receiving.
+  // the last-attached counter; whoever is left keeps receiving, and the
+  // machine's own charge books keep counting with nobody attached.
   validator.reset();
   m.mark_epoch_boundary();
   EXPECT_EQ(counter.events.back(), sim::Event::kEpochBoundary);
   const auto prs = static_cast<std::size_t>(sim::Category::kPrs);
-  const double charged_before = rec.digest().charged_us[1][prs];
+  const double charged_before = analysis::digest(m).charged_us[1][prs];
   m.remove_observer(&counter);
   const std::size_t seen = counter.events.size();
   m.charge(1, sim::Category::kPrs, 3.0);
   m.mark_epoch_boundary();
   EXPECT_EQ(counter.events.size(), seen);
-  EXPECT_EQ(rec.digest().charged_us[1][prs], charged_before + 3.0);
+  EXPECT_EQ(analysis::digest(m).charged_us[1][prs], charged_before + 3.0);
 }
 
 }  // namespace

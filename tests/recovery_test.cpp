@@ -11,7 +11,9 @@
 //     deterministically, naming the dead rank;
 //   * restart budget exhaustion rethrows with the machine cleanly rolled
 //     back and the original fault plan reinstalled;
-//   * the protocol validator stays ok through rollback + re-execution;
+//   * the protocol validator stays ok through rollback + re-execution, and
+//     its recording of the recovered run replays against the plan's static
+//     expansion (the aborted attempt is rolled out of it);
 //   * pack_batch and cached-plan re-execution recover under a seeded
 //     PUP_FAULTS environment schedule with digest identity (satellite S3);
 //   * PUP_RECOVERY grammar parses (and rejects, naming token + byte
@@ -32,6 +34,8 @@
 
 #include "analysis/determinism.hpp"
 #include "analysis/protocol_validator.hpp"
+#include "analysis/static/expand.hpp"
+#include "analysis/static/trace_check.hpp"
 #include "coll/reliable.hpp"
 #include "core/api.hpp"
 #include "core/recovery.hpp"
@@ -119,9 +123,8 @@ std::pair<std::vector<std::int64_t>, analysis::TraceDigest> clean_reference(
   m.set_fault_plan(nullptr);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
-  analysis::DigestRecorder rec(m);
   auto result = plan::pack_with_plan(m, plan, wl.array, wl.mask);
-  return {result.vector.gather(), rec.digest()};
+  return {result.vector.gather(), analysis::digest(m)};
 }
 
 // --- epoch checkpoint mechanics ---------------------------------------
@@ -216,14 +219,13 @@ TEST(ResilientExecutor, RecoversMidPrsKillWithBitIdenticalDigest) {
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
-  analysis::DigestRecorder rec(m);
   RecoveryPolicy pol;
   pol.max_restarts = 3;
   plan::ResilientExecutor exec(m, pol);
 
   auto got = exec.pack(plan, wl.array, wl.mask);
   EXPECT_EQ(got.vector.gather(), expected);
-  const auto digest = rec.digest();
+  const auto digest = analysis::digest(m);
   EXPECT_EQ(digest, clean_digest)
       << analysis::diff_digests(digest, clean_digest);
 
@@ -255,14 +257,13 @@ TEST(ResilientExecutor, RecoversLossBurstBeyondRetryBudget) {
   // retry budget.
   m.set_fault_plan(sim::FaultPlan::parse("seed=7 drop=1.0 phase=prs"));
   coll::ReliableTransport::of(m).options().max_attempts = 3;
-  analysis::DigestRecorder rec(m);
   RecoveryPolicy pol;
   pol.max_restarts = 2;
   plan::ResilientExecutor exec(m, pol);
 
   auto got = exec.pack(plan, wl.array, wl.mask);
   EXPECT_EQ(got.vector.gather(), expected);
-  const auto digest = rec.digest();
+  const auto digest = analysis::digest(m);
   EXPECT_EQ(digest, clean_digest)
       << analysis::diff_digests(digest, clean_digest);
   EXPECT_EQ(exec.stats().restarts, 1);
@@ -284,7 +285,6 @@ TEST(ResilientExecutor, CombinedKillAndLossScheduleIsDeterministic) {
     m.set_fault_plan(sim::FaultPlan::parse(
         "kill=3 after=11 phase=prs | seed=5 drop=0.2 phase=prs"));
     coll::ReliableTransport::of(m).options().max_attempts = 4;
-    analysis::DigestRecorder rec(m);
     RecoveryPolicy pol;
     pol.max_restarts = 5;
     plan::ResilientExecutor exec(m, pol);
@@ -292,7 +292,7 @@ TEST(ResilientExecutor, CombinedKillAndLossScheduleIsDeterministic) {
     EXPECT_EQ(got.vector.gather(), expected);
     return std::tuple(exec.stats().restarts, exec.stats().attempts,
                       exec.stats().rank_failures,
-                      exec.stats().transport_errors, rec.digest());
+                      exec.stats().transport_errors, analysis::digest(m));
   };
 
   const auto a = run();
@@ -364,7 +364,7 @@ TEST(ResilientExecutor, ExhaustedBudgetRethrowsWithCleanRollback) {
   EXPECT_EQ(m.fault_plan()->seed(), 7u);
 }
 
-TEST(ResilientExecutor, ValidatorStaysOkThroughRollback) {
+TEST(ResilientExecutor, ValidatorAndTraceCheckHoldThroughRollback) {
   const int P = 8;
   PackWorkload wl = make_workload(2048, P, 16, 0.4, 0xcafe);
   PackOptions opt;
@@ -379,10 +379,20 @@ TEST(ResilientExecutor, ValidatorStaysOkThroughRollback) {
   pol.max_restarts = 3;
   plan::ResilientExecutor exec(m, pol);
   (void)exec.pack(plan, wl.array, wl.mask);
+  ASSERT_EQ(exec.stats().restarts, 1);
   validator.finish();
   // The aborted epoch's interrupted collective (scopes unwound with
   // messages in flight) must have been absolved by the rollback.
   EXPECT_TRUE(validator.ok()) << validator.report();
+
+  // The rollback restores the validator's recording with the machine, so
+  // what remains is the one attempt that succeeded: the fault-free
+  // schedule, round for round.
+  const auto expanded = analysis::statics::expand_pack_plan(plan, m.cost());
+  const auto check =
+      analysis::statics::check_trace(validator.recording(), expanded.schedule);
+  EXPECT_TRUE(check.ok()) << check.issues.size() << " issue(s), first: "
+                          << (check.issues.empty() ? "" : check.issues[0]);
 }
 
 TEST(ResilientExecutor, NoFaultsMeansNoRollbacksAndUntouchedDigest) {
@@ -396,14 +406,13 @@ TEST(ResilientExecutor, NoFaultsMeansNoRollbacksAndUntouchedDigest) {
   m.set_fault_plan(nullptr);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
-  analysis::DigestRecorder rec(m);
   RecoveryPolicy pol;
   pol.max_restarts = 3;  // armed, but never needed
   plan::ResilientExecutor exec(m, pol);
   auto got = exec.pack(plan, wl.array, wl.mask);
 
   EXPECT_EQ(got.vector.gather(), expected);
-  const auto digest = rec.digest();
+  const auto digest = analysis::digest(m);
   EXPECT_EQ(digest, clean_digest)
       << analysis::diff_digests(digest, clean_digest);
   EXPECT_EQ(exec.stats().attempts, 1);
@@ -439,10 +448,9 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
   clean.set_fault_plan(nullptr);
   const plan::PackPlan clean_plan =
       plan::compile_pack_plan(clean, wls[0].d, sizeof(std::int64_t), opt);
-  analysis::DigestRecorder clean_rec(clean);
   auto expected =
       plan::pack_batch<std::int64_t>(clean, clean_plan, masks, arrays);
-  const auto clean_digest = clean_rec.digest();
+  const auto clean_digest = analysis::digest(clean);
 
   // Same batch on a machine whose fault plan comes from the environment,
   // with a deterministic mid-PRS kill plus background losses.
@@ -453,7 +461,6 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
   ASSERT_NE(m.fault_plan(), nullptr);  // picked up from the environment
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wls[0].d, sizeof(std::int64_t), opt);
-  analysis::DigestRecorder rec(m);
   RecoveryPolicy pol;
   pol.max_restarts = 4;
   plan::ResilientExecutor exec(m, pol);
@@ -464,7 +471,7 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
     EXPECT_EQ(got[b].vector.gather(), expected[b].vector.gather())
         << "request " << b;
   }
-  const auto digest = rec.digest();
+  const auto digest = analysis::digest(m);
   EXPECT_EQ(digest, clean_digest)
       << analysis::diff_digests(digest, clean_digest);
   EXPECT_GE(exec.stats().restarts, 1);  // the deterministic kill fired
@@ -488,23 +495,21 @@ TEST(ResilientExecutor, CachedPlanReexecutionRecoversUnderEnvFaults) {
   plan::ResilientExecutor exec(m, pol);
 
   // First execution: the kill fires, recovery re-executes.
-  analysis::DigestRecorder rec1(m);
   auto first = exec.pack(*cached, wl.array, wl.mask);
   EXPECT_EQ(first.vector.gather(), expected);
   EXPECT_EQ(exec.stats().restarts, 1);
-  const auto digest1 = rec1.digest();
+  const auto digest1 = analysis::digest(m);
   EXPECT_EQ(digest1, clean_digest)
       << analysis::diff_digests(digest1, clean_digest);
 
   // Re-execution off the same cached plan: the spent kill rule stays
   // spent, so the second run is failure-free off the hit path.
   m.reset_accounting();
-  analysis::DigestRecorder rec2(m);
   auto second = exec.pack(*cached, wl.array, wl.mask);
   EXPECT_EQ(second.vector.gather(), expected);
   EXPECT_EQ(exec.stats().restarts, 1);  // unchanged
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 1u);  // one compile
-  const auto digest2 = rec2.digest();
+  const auto digest2 = analysis::digest(m);
   EXPECT_EQ(digest2, clean_digest)
       << analysis::diff_digests(digest2, clean_digest);
 }

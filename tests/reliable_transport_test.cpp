@@ -128,11 +128,10 @@ RunResult run_configured(bool reliable, const char* fault_spec) {
   m.set_fault_plan(fault_spec == nullptr ? nullptr
                                          : sim::FaultPlan::parse(fault_spec));
   coll::ReliableTransport::of(m).force(reliable);
-  analysis::DigestRecorder recorder(m);
   RunResult out;
   out.results = run_all_collectives(m);
   EXPECT_TRUE(m.mailboxes_empty());
-  out.digest = recorder.digest();
+  out.digest = analysis::digest(m);
   out.stats = coll::ReliableTransport::of(m).stats();
   return out;
 }

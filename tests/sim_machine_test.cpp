@@ -156,6 +156,39 @@ TEST(Machine, ChargeAndMaxAccounting) {
   EXPECT_EQ(m.trace().messages(), 0);
 }
 
+TEST(Machine, ModeledChargesPerRankAndCategory) {
+  Machine m(3, CostModel{1, 1, 1});
+  m.charge(0, Category::kPrs, 5.0);
+  m.charge(1, Category::kPrs, 8.0);
+  m.charge(1, Category::kM2M, 2.0);
+  m.charge(1, Category::kM2M, 0.5);
+  m.local_phase([](int) {});  // real wall-clock never reaches the books
+  EXPECT_EQ(m.modeled_us(0, Category::kPrs), 5.0);
+  EXPECT_EQ(m.modeled_us(1, Category::kPrs), 8.0);
+  EXPECT_EQ(m.modeled_us(1, Category::kM2M), 2.5);
+  EXPECT_EQ(m.modeled_us(2, Category::kM2M), 0.0);
+  EXPECT_EQ(m.modeled_us(0, Category::kLocal), 0.0);
+  EXPECT_EQ(m.modeled_total_us(), 15.5);
+
+  // A rollback restores the books of the checkpoint.
+  const auto cp = m.checkpoint_epoch();
+  m.charge(0, Category::kPrs, 100.0);
+  m.charge(2, Category::kRedist, 1.0);
+  EXPECT_EQ(m.modeled_us(2, Category::kRedist), 1.0);
+  m.rollback_epoch(*cp);
+  EXPECT_EQ(m.modeled_us(0, Category::kPrs), 5.0);
+  EXPECT_EQ(m.modeled_us(2, Category::kRedist), 0.0);
+  EXPECT_EQ(m.modeled_total_us(), 15.5);
+
+  m.reset_accounting();
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < kNumCategories; ++c) {
+      EXPECT_EQ(m.modeled_us(r, static_cast<Category>(c)), 0.0);
+    }
+  }
+  EXPECT_EQ(m.modeled_total_us(), 0.0);
+}
+
 TEST(Machine, ResetWithPendingMessagesThrows) {
   Machine m(2, CostModel{1, 1, 1});
   m.post(Message{0, 1, 0, {}}, Category::kLocal);
@@ -295,6 +328,30 @@ TEST(MachineThreaded, ChargesFromConcurrentRanksAllLand) {
   for (int r = 0; r < 8; ++r) {
     EXPECT_DOUBLE_EQ(m.times(r)[Category::kPrs], 1.0);
   }
+}
+
+TEST(MachineThreaded, ModeledChargesMatchSequential) {
+  Machine seq(8, CostModel{1, 1, 1}, Topology::crossbar(8),
+              ExecPolicy::sequential());
+  Machine par = make_threaded(8, 4);
+  for (Machine* m : {&seq, &par}) {
+    for (int pass = 0; pass < 3; ++pass) {
+      m->local_phase([&](int rank) {
+        m->charge(rank, Category::kPrs, 0.1 * (rank + 1));
+        m->charge(rank, static_cast<Category>(1 + (rank + pass) % 3),
+                  0.3 * pass + rank);
+      });
+    }
+  }
+  for (int r = 0; r < 8; ++r) {
+    for (int c = 0; c < kNumCategories; ++c) {
+      const auto cat = static_cast<Category>(c);
+      EXPECT_EQ(par.modeled_us(r, cat), seq.modeled_us(r, cat))
+          << "rank " << r << " category " << c;
+    }
+  }
+  EXPECT_EQ(par.modeled_total_us(), seq.modeled_total_us());
+  EXPECT_GT(seq.modeled_total_us(), 0.0);
 }
 
 TEST(Event, NamesAreUniqueAndStable) {

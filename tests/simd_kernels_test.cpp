@@ -226,7 +226,6 @@ TEST(SimdKernels, EndToEndPackUnpackParity) {
   for (const Path path : paths) {
     ForceGuard force(path);
     sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
-    analysis::DigestRecorder recorder(machine);
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({p}), 64);
     std::vector<std::int64_t> data(static_cast<std::size_t>(n));
@@ -239,7 +238,7 @@ TEST(SimdKernels, EndToEndPackUnpackParity) {
     auto field = dist::DistArray<std::int64_t>::scatter(
         d, std::vector<std::int64_t>(static_cast<std::size_t>(n), -7));
     auto unpacked = unpack(machine, packed.vector, m, field);
-    runs.push_back(Run{recorder.digest(), packed.vector.gather(),
+    runs.push_back(Run{analysis::digest(machine), packed.vector.gather(),
                        unpacked.result.gather()});
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {

@@ -6,7 +6,8 @@
 //   * mutation matrix -- each seeded defect class is caught on every plan
 //     shape it can be seeded into, and the verifier names the right rule
 //     (0 escapes);
-//   * dynamic cross-check -- a real execution's trace (ScheduleRecorder)
+//   * dynamic cross-check -- a real execution runs under the
+//     ProtocolValidator, whose streaming rules must hold, and its recording
 //     replays against the static expansion round for round, proving the
 //     expansion honest: exact equality for ranking PRS, bound containment
 //     for the mask-dependent M2M stages, charge ledger closed;
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/protocol_validator.hpp"
 #include "analysis/static/closed_form.hpp"
 #include "analysis/static/expand.hpp"
 #include "analysis/static/mutate.hpp"
@@ -34,6 +36,23 @@ namespace st = analysis::statics;
 
 sim::Machine make_machine(int p) {
   return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
+}
+
+/// Runs `op` under a ProtocolValidator, which must find no violation, and
+/// replays the validator's recording against `expanded`.
+template <typename Op>
+void expect_trace_matches(sim::Machine& machine,
+                          const st::ExpandedPlan& expanded,
+                          const std::string& where, Op&& op) {
+  analysis::ProtocolValidator validator(machine);
+  op();
+  validator.finish();
+  EXPECT_TRUE(validator.ok()) << expanded.schedule.origin << where << ":\n"
+                              << validator.report();
+  const st::TraceCheckResult check =
+      st::check_trace(validator.recording(), expanded.schedule);
+  EXPECT_TRUE(check.ok()) << expanded.schedule.origin << where << ":\n  "
+                          << (check.issues.empty() ? "" : check.issues[0]);
 }
 
 /// The grid/extent shapes the sweep runs.  p = 6 grids exercise the
@@ -239,16 +258,10 @@ TEST(StaticVerifier, PackTraceMatchesExpansion) {
           const st::ExpandedPlan expanded =
               st::expand_pack_plan(plan, machine.cost());
 
-          st::ScheduleRecorder recorder;
-          machine.add_observer(&recorder);
-          (void)plan::pack_with_plan(machine, plan, array, mask);
-          machine.remove_observer(&recorder);
-
-          const st::TraceCheckResult check =
-              st::check_trace(recorder, expanded.schedule);
-          EXPECT_TRUE(check.ok())
-              << expanded.schedule.origin << " on " << gc.name << ":\n  "
-              << (check.issues.empty() ? "" : check.issues[0]);
+          expect_trace_matches(
+              machine, expanded, std::string(" on ") + gc.name, [&] {
+                (void)plan::pack_with_plan(machine, plan, array, mask);
+              });
         }
       }
     }
@@ -279,15 +292,9 @@ TEST(StaticVerifier, BatchedPackTraceMatchesExpansion) {
     const st::ExpandedPlan expanded =
         st::expand_pack_plan(plan, machine.cost(), B);
 
-    st::ScheduleRecorder recorder;
-    machine.add_observer(&recorder);
-    (void)plan::pack_batch<double>(machine, plan, masks, arrays);
-    machine.remove_observer(&recorder);
-
-    const st::TraceCheckResult check =
-        st::check_trace(recorder, expanded.schedule);
-    EXPECT_TRUE(check.ok()) << expanded.schedule.origin << ":\n  "
-                            << (check.issues.empty() ? "" : check.issues[0]);
+    expect_trace_matches(machine, expanded, "", [&] {
+      (void)plan::pack_batch<double>(machine, plan, masks, arrays);
+    });
   }
 }
 
@@ -318,16 +325,10 @@ TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
           const st::ExpandedPlan expanded =
               st::expand_unpack_plan(plan, machine.cost());
 
-          st::ScheduleRecorder recorder;
-          machine.add_observer(&recorder);
-          (void)plan::unpack_with_plan(machine, plan, v, mask, field);
-          machine.remove_observer(&recorder);
-
-          const st::TraceCheckResult check =
-              st::check_trace(recorder, expanded.schedule);
-          EXPECT_TRUE(check.ok())
-              << expanded.schedule.origin << " on " << gc.name << ":\n  "
-              << (check.issues.empty() ? "" : check.issues[0]);
+          expect_trace_matches(
+              machine, expanded, std::string(" on ") + gc.name, [&] {
+                (void)plan::unpack_with_plan(machine, plan, v, mask, field);
+              });
         }
       }
     }
