@@ -67,17 +67,18 @@ int run() {
 
     // Batched vs independent: B distinct masks over the same array.
     std::vector<dist::DistArray<mask_t>> masks;
-    std::vector<dist::DistArray<Element>> arrays;
     for (std::size_t b = 0; b < kBatch; ++b) {
       masks.push_back(dist::DistArray<mask_t>::scatter(
           wl.dist, make_mask(wl.dist.global(), density, 0xb000 + b)));
-      arrays.push_back(wl.array);
     }
+    std::vector<const dist::DistArray<mask_t>*> mask_ptrs;
+    for (const auto& m : masks) mask_ptrs.push_back(&m);
+    const std::vector<const dist::DistArray<Element>*> arrays(kBatch,
+                                                              &wl.array);
     sim::Machine indep = make_paper_machine(kProcs);
     std::vector<std::vector<Element>> expected;
     for (std::size_t b = 0; b < kBatch; ++b) {
-      expected.push_back(
-          pack(indep, arrays[b], masks[b], opt).vector.gather());
+      expected.push_back(pack(indep, wl.array, masks[b], opt).vector.gather());
     }
     const std::int64_t prs_indep =
         indep.trace().messages_in(sim::Category::kPrs);
@@ -85,7 +86,8 @@ int run() {
     sim::Machine fused = make_paper_machine(kProcs);
     plan::PlanCache fused_cache;
     auto fplan = fused_cache.pack_plan(fused, wl.dist, sizeof(Element), opt);
-    auto results = plan::pack_batch<Element>(fused, *fplan, masks, arrays);
+    auto results =
+        plan::pack_batch<Element>(fused, *fplan, mask_ptrs, arrays);
     const std::int64_t prs_batch =
         fused.trace().messages_in(sim::Category::kPrs);
     for (std::size_t b = 0; b < kBatch; ++b) {

@@ -204,14 +204,15 @@ int main(int argc, char** argv) {
   }
 
   // Batched requests: vary the mask seed per slot so the B requests differ.
-  std::vector<dist::DistArray<mask_t>> masks;
-  std::vector<dist::DistArray<std::int64_t>> arrays;
-  for (int b = 0; b < batch; ++b) {
-    masks.push_back(b == 0 ? m
-                           : dist::DistArray<mask_t>::scatter(
-                                 layout, make_mask(seed + 17u * b)));
-    arrays.push_back(a);
+  std::vector<dist::DistArray<mask_t>> extra_masks;
+  for (int b = 1; b < batch; ++b) {
+    extra_masks.push_back(
+        dist::DistArray<mask_t>::scatter(layout, make_mask(seed + 17u * b)));
   }
+  std::vector<const dist::DistArray<mask_t>*> masks{&m};
+  for (const auto& em : extra_masks) masks.push_back(&em);
+  const std::vector<const dist::DistArray<std::int64_t>*> arrays(
+      masks.size(), &a);
 
   plan::PlanCache cache;
   machine.reset_accounting();

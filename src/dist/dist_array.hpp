@@ -5,16 +5,21 @@
 // within each dimension (see BlockCyclicDim).  scatter()/gather() move data
 // between a global host buffer and the distributed representation.
 //
-// Contract for scatter()/gather(): they are on the serving hot path (the
-// service layer gathers every request's result to digest it), so callers
-// must know their cost.  They charge no modeled time -- the data movement
-// is host-side, outside the simulated machine -- and each call does O(N)
-// host-side index math for an N-element array: one owner and one local
-// offset computation per element, each O(rank) in the array's rank and
-// each allocating small index vectors.  That cost lands in real wall-clock
-// latency, never in modeled time or digests.
+// Contract for scatter()/gather(): they are on hot paths (request set-up,
+// and any caller that wants a result on the host), so callers must know
+// their cost.  They charge no modeled time -- the data movement is
+// host-side, outside the simulated machine.  Each call walks the
+// distribution's contiguous runs (Distribution::for_each_run) and does one
+// std::copy_n per run: O(N) element copies plus O(rank) index math per run,
+// with one per-call allocation of per-rank strides and none per element.
+// A run is at most one dimension-0 block, so a cyclic (W_0 = 1) layout
+// pays the index math per element.  That cost lands in real wall-clock
+// latency, never in modeled time or digests.  Code that only needs to read
+// the result in global order (the service's digest) walks the runs itself
+// instead of gathering.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -44,30 +49,20 @@ class DistArray {
                                       << " != array size "
                                       << dist.global().size());
     DistArray arr(std::move(dist));
-    const Shape& shape = arr.dist_.global();
-    std::vector<index_t> gidx(static_cast<std::size_t>(shape.rank()), 0);
-    for (index_t lin = 0; lin < shape.size(); ++lin) {
-      const auto [owner, local] = place_cached(arr.dist_, gidx);
-      arr.locals_[static_cast<std::size_t>(owner)]
-                 [static_cast<std::size_t>(local)] =
-          global[static_cast<std::size_t>(lin)];
-      if (lin + 1 < shape.size()) next_index(shape, gidx);
-    }
+    arr.dist_.for_each_run([&](index_t g, int r, index_t l, index_t n) {
+      std::copy_n(global.begin() + g, n,
+                  arr.locals_[static_cast<std::size_t>(r)].begin() + l);
+    });
     return arr;
   }
 
   /// Collects the distributed data back into a global row-major buffer.
   std::vector<T> gather() const {
-    const Shape& shape = dist_.global();
-    std::vector<T> global(static_cast<std::size_t>(shape.size()));
-    std::vector<index_t> gidx(static_cast<std::size_t>(shape.rank()), 0);
-    for (index_t lin = 0; lin < shape.size(); ++lin) {
-      const auto [owner, local] = place_cached(dist_, gidx);
-      global[static_cast<std::size_t>(lin)] =
-          locals_[static_cast<std::size_t>(owner)]
-                 [static_cast<std::size_t>(local)];
-      if (lin + 1 < shape.size()) next_index(shape, gidx);
-    }
+    std::vector<T> global(static_cast<std::size_t>(dist_.global().size()));
+    dist_.for_each_run([&](index_t g, int r, index_t l, index_t n) {
+      std::copy_n(locals_[static_cast<std::size_t>(r)].begin() + l, n,
+                  global.begin() + g);
+    });
     return global;
   }
 
@@ -95,17 +90,6 @@ class DistArray {
   }
 
  private:
-  // Placement of a multi-index, avoiding the Shape allocation inside
-  // Distribution::place for the scatter/gather loops.
-  static Distribution::Placement place_cached(const Distribution& d,
-                                              std::span<const index_t> gidx) {
-    const int owner = d.owner(gidx);
-    // local_linear recomputes the owner internally, so every element pays
-    // the owner math twice; this is part of the per-call O(N) cost that
-    // the scatter()/gather() contract above states.
-    return Distribution::Placement{owner, d.local_linear(gidx)};
-  }
-
   Distribution dist_;
   std::vector<std::vector<T>> locals_;
 };

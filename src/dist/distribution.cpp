@@ -64,29 +64,24 @@ Shape Distribution::local_shape(int rank) const {
 
 int Distribution::owner(std::span<const index_t> gidx) const {
   PUP_DCHECK(static_cast<int>(gidx.size()) == rank(), "rank mismatch");
-  std::vector<index_t> coord(gidx.size());
+  index_t r = 0;
+  index_t grid_stride = 1;
   for (int k = 0; k < rank(); ++k) {
-    coord[static_cast<std::size_t>(k)] =
-        dim(k).owner(gidx[static_cast<std::size_t>(k)]);
+    r += dim(k).owner(gidx[static_cast<std::size_t>(k)]) * grid_stride;
+    grid_stride *= grid_.extent(k);
   }
-  return grid_.rank_of(coord);
+  return static_cast<int>(r);
 }
 
 index_t Distribution::local_linear(std::span<const index_t> gidx) const {
   const int r = owner(gidx);
-  const Shape local = local_shape(r);
-  std::vector<index_t> lidx(gidx.size());
+  index_t l = 0;
+  index_t stride = 1;  // row-major over the owner's local shape
   for (int k = 0; k < rank(); ++k) {
-    lidx[static_cast<std::size_t>(k)] =
-        dim(k).local_index(gidx[static_cast<std::size_t>(k)]);
+    l += dim(k).local_index(gidx[static_cast<std::size_t>(k)]) * stride;
+    stride *= dim(k).local_extent_on(static_cast<int>(grid_.coord_of(r, k)));
   }
-  return local.linear(lidx);
-}
-
-Distribution::Placement Distribution::place(index_t global_linear) const {
-  std::vector<index_t> gidx = global_.multi(global_linear);
-  const int r = owner(gidx);
-  return Placement{r, local_linear(gidx)};
+  return l;
 }
 
 std::vector<index_t> Distribution::global_of_local(int rank, index_t l) const {

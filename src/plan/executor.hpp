@@ -60,32 +60,30 @@ PackResult<T> pack_with_plan(sim::Machine& machine, const PackPlan& plan,
 }
 
 /// PACK B requests, fusing their PRS rounds (one tau per round instead of
-/// B; see the header comment).  masks[b] selects from arrays[b]; all share
-/// the plan's distribution.  results[b] is element-identical to an
-/// independent pack of request b.
+/// B; see the header comment).  *masks[b] selects from *arrays[b]; all
+/// share the plan's distribution.  results[b] is element-identical to an
+/// independent pack of request b.  Requests are passed by pointer, as to
+/// rank_masks(), so callers never copy their arrays to fuse them.
 template <typename T>
-std::vector<PackResult<T>> pack_batch(sim::Machine& machine,
-                                      const PackPlan& plan,
-                                      std::span<const dist::DistArray<mask_t>> masks,
-                                      std::span<const dist::DistArray<T>> arrays) {
+std::vector<PackResult<T>> pack_batch(
+    sim::Machine& machine, const PackPlan& plan,
+    std::span<const dist::DistArray<mask_t>* const> masks,
+    std::span<const dist::DistArray<T>* const> arrays) {
   PUP_REQUIRE(masks.size() == arrays.size(),
               "pack_batch: " << masks.size() << " masks vs " << arrays.size()
                              << " arrays");
   PUP_REQUIRE(!masks.empty(), "pack_batch needs at least one request");
-  std::vector<const dist::DistArray<mask_t>*> mask_ptrs;
-  mask_ptrs.reserve(masks.size());
   for (std::size_t b = 0; b < masks.size(); ++b) {
-    detail::check_pack_request(plan, arrays[b], masks[b]);
-    mask_ptrs.push_back(&masks[b]);
+    detail::check_pack_request(plan, *arrays[b], *masks[b]);
   }
   const bool sss = plan.options.scheme == PackScheme::kSimpleStorage;
   std::vector<RankingResult> rankings =
-      rank_masks(machine, plan.schedule, mask_ptrs, sss);
+      rank_masks(machine, plan.schedule, masks, sss);
   std::vector<PackResult<T>> results;
   results.reserve(masks.size());
   for (std::size_t b = 0; b < masks.size(); ++b) {
     results.push_back(pup::detail::pack_execute<T>(
-        machine, arrays[b], masks[b], rankings[b], plan.options.scheme,
+        machine, *arrays[b], *masks[b], rankings[b], plan.options.scheme,
         plan.result_dist, nullptr, plan.options));
   }
   return results;

@@ -146,8 +146,9 @@ class ResilientExecutor {
   /// re-executes every request, keeping the fused ranking consistent.
   template <typename T>
   std::vector<PackResult<T>> pack_batch(
-      const PackPlan& plan, std::span<const dist::DistArray<mask_t>> masks,
-      std::span<const dist::DistArray<T>> arrays) {
+      const PackPlan& plan,
+      std::span<const dist::DistArray<mask_t>* const> masks,
+      std::span<const dist::DistArray<T>* const> arrays) {
     verify_debug(plan, masks.size());
     return run([&] {
       return ::pup::plan::pack_batch<T>(machine_, plan, masks, arrays);

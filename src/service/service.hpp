@@ -13,10 +13,13 @@
 //   * Requests carry a *concrete* scheme (kAuto is a per-call density
 //     inspection and would defeat request fusion by key; the admission
 //     layer rejects it as kBadRequest rather than silently resolving it).
-//   * Responses identify results by an FNV-1a digest of the gathered data
-//     plus the selected count instead of shipping arrays back -- the tests
-//     compare digests for bit-identity across fusion, faults, and
-//     thread counts, exactly like the library's own determinism suites.
+//   * Responses identify results by an FNV-1a digest of the result in
+//     global row-major order plus the selected count instead of shipping
+//     arrays back.  The server streams the hash over the distributed
+//     result run by run, never gathering it; the value equals the digest
+//     of the gathered buffer.  The tests compare digests for bit-identity
+//     across fusion, faults, and thread counts, exactly like the library's
+//     own determinism suites.
 //   * All latency fields are real wall-clock microseconds (queue wait,
 //     execution, end to end); modeled tau + mu*m time stays on the
 //     server's machine where every bench already reads it.
@@ -154,7 +157,7 @@ struct Response {
   Status status = Status::kRejected;
   RejectReason reason = RejectReason::kShutdown;  ///< valid when kRejected
   std::string message;        ///< rejection detail / execution error
-  std::uint64_t digest = 0;   ///< FNV-1a of the gathered result + count
+  std::uint64_t digest = 0;   ///< FNV-1a of the result (global order) + count
   std::int64_t selected = 0;  ///< selected (pack) / consumed (unpack) count
   bool fused = false;         ///< served inside a fused pack_batch
   std::size_t batch_size = 0; ///< requests in the executed batch
@@ -219,9 +222,13 @@ struct ServerStats {
   std::size_t peak_bytes_in_flight = 0;
 };
 
-/// FNV-1a over a byte range; the service's result-identity hash.
+/// FNV-1a offset basis: the hash of zero bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over a byte range; the service's result-identity hash.  Passing
+/// the previous return value as `h` continues the same hash.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,
-                           std::uint64_t h = 0xcbf29ce484222325ULL) {
+                           std::uint64_t h = kFnv1aBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
@@ -234,6 +241,20 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n,
 inline std::uint64_t result_digest(const std::vector<Element>& data,
                                    std::int64_t count) {
   std::uint64_t h = fnv1a(data.data(), data.size() * sizeof(Element));
+  return fnv1a(&count, sizeof(count), h);
+}
+
+/// The same digest taken straight off a distributed result: FNV-1a is a
+/// streaming hash, so hashing each contiguous run's bytes in global order
+/// equals hashing the gathered buffer, without building it.
+inline std::uint64_t result_digest(const dist::DistArray<Element>& data,
+                                   std::int64_t count) {
+  std::uint64_t h = kFnv1aBasis;
+  data.dist().for_each_run(
+      [&](dist::index_t, int r, dist::index_t l, dist::index_t n) {
+        h = fnv1a(data.local(r).data() + l,
+                  static_cast<std::size_t>(n) * sizeof(Element), h);
+      });
   return fnv1a(&count, sizeof(count), h);
 }
 

@@ -23,13 +23,16 @@ TEST(Distribution, OwnerAndPlacementConsistent) {
   std::vector<index_t> idx(2, 0);
   std::vector<index_t> counts(static_cast<std::size_t>(d.nprocs()), 0);
   for (index_t lin = 0; lin < g.size(); ++lin) {
-    const auto place = d.place(lin);
-    EXPECT_EQ(place.owner, d.owner(idx));
-    EXPECT_EQ(place.local, d.local_linear(idx));
+    // Placement of the linear index, decoded independently of the odometer.
+    const std::vector<index_t> decoded = g.multi(lin);
+    const int owner = d.owner(decoded);
+    const index_t local = d.local_linear(decoded);
+    EXPECT_EQ(owner, d.owner(idx));
+    EXPECT_EQ(local, d.local_linear(idx));
     // Inverse mapping.
-    auto gidx = d.global_of_local(place.owner, place.local);
+    auto gidx = d.global_of_local(owner, local);
     EXPECT_EQ(gidx, idx);
-    ++counts[static_cast<std::size_t>(place.owner)];
+    ++counts[static_cast<std::size_t>(owner)];
     if (lin + 1 < g.size()) next_index(g, idx);
   }
   for (int r = 0; r < d.nprocs(); ++r) {
@@ -45,12 +48,14 @@ TEST(Distribution, PlacementIsBijective) {
         static_cast<std::size_t>(d.local_size(r)), false);
   }
   for (index_t lin = 0; lin < d.global().size(); ++lin) {
-    const auto place = d.place(lin);
-    auto slot = hit[static_cast<std::size_t>(place.owner)]
-                   [static_cast<std::size_t>(place.local)];
+    const std::vector<index_t> gidx = d.global().multi(lin);
+    const int owner = d.owner(gidx);
+    const index_t local = d.local_linear(gidx);
+    auto slot = hit[static_cast<std::size_t>(owner)]
+                   [static_cast<std::size_t>(local)];
     EXPECT_FALSE(slot) << "two globals map to one local slot";
-    hit[static_cast<std::size_t>(place.owner)]
-       [static_cast<std::size_t>(place.local)] = true;
+    hit[static_cast<std::size_t>(owner)][static_cast<std::size_t>(local)] =
+        true;
   }
   for (const auto& v : hit) {
     for (bool b : v) EXPECT_TRUE(b);

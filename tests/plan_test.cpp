@@ -491,11 +491,11 @@ TEST(PackBatch, MatchesIndependentCallsAndHalvesPrsStartups) {
   analysis::ProtocolValidator validator(batched);
   const plan::PackPlan p =
       plan::compile_pack_plan(batched, wls[0].d, sizeof(std::int64_t), opt);
-  std::vector<dist::DistArray<mask_t>> masks;
-  std::vector<dist::DistArray<std::int64_t>> arrays;
+  std::vector<const dist::DistArray<mask_t>*> masks;
+  std::vector<const dist::DistArray<std::int64_t>*> arrays;
   for (std::size_t b = 0; b < B; ++b) {
-    masks.push_back(wls[b].mask);
-    arrays.push_back(wls[b].array);
+    masks.push_back(&wls[b].mask);
+    arrays.push_back(&wls[b].array);
   }
   auto results = plan::pack_batch<std::int64_t>(batched, p, masks, arrays);
   validator.finish();
@@ -556,7 +556,14 @@ TEST(PackBatch, SssSchemeAndMultiDimGrid) {
 
   const plan::PackPlan p =
       plan::compile_pack_plan(machine, d, sizeof(std::int64_t), opt);
-  auto results = plan::pack_batch<std::int64_t>(machine, p, masks, arrays);
+  std::vector<const dist::DistArray<mask_t>*> mask_ptrs;
+  std::vector<const dist::DistArray<std::int64_t>*> array_ptrs;
+  for (std::size_t b = 0; b < B; ++b) {
+    mask_ptrs.push_back(&masks[b]);
+    array_ptrs.push_back(&arrays[b]);
+  }
+  auto results =
+      plan::pack_batch<std::int64_t>(machine, p, mask_ptrs, array_ptrs);
   for (std::size_t b = 0; b < B; ++b) {
     EXPECT_EQ(results[b].vector.gather(),
               serial_pack<std::int64_t>(datas[b], gms[b]))
@@ -579,11 +586,11 @@ TEST(PackBatch, BatchedExecutionIsDeterministic) {
       P, sim::CostModel{10.0, 0.1, 0.01}, [&](sim::Machine& machine) {
         const plan::PackPlan p = plan::compile_pack_plan(
             machine, wls[0].d, sizeof(std::int64_t), opt);
-        std::vector<dist::DistArray<mask_t>> masks;
-        std::vector<dist::DistArray<std::int64_t>> arrays;
+        std::vector<const dist::DistArray<mask_t>*> masks;
+        std::vector<const dist::DistArray<std::int64_t>*> arrays;
         for (std::size_t b = 0; b < B; ++b) {
-          masks.push_back(wls[b].mask);
-          arrays.push_back(wls[b].array);
+          masks.push_back(&wls[b].mask);
+          arrays.push_back(&wls[b].array);
         }
         (void)plan::pack_batch<std::int64_t>(machine, p, masks, arrays);
       });

@@ -10,6 +10,8 @@
 //     identical digests and identical modeled traffic with a sequential
 //     and a 4-thread local-phase pool (Options::threads injection, no env
 //     mutation);
+//   * the result digest the server streams over a distributed result's
+//     runs equals the digest of the gathered buffer;
 //   * two in-process servers with different options coexist without
 //     interfering (the PR's Env-injection satellite), and
 //     Env::override_for_testing steers the snapshot without setenv.
@@ -297,6 +299,34 @@ TEST(ServiceScheduler, UnpackRoundTripThroughServer) {
   EXPECT_EQ(r.selected, packed.size);
   EXPECT_FALSE(r.fused);
   server.shutdown();
+}
+
+// The server digests results straight off the distributed arrays, run by
+// run; that must equal the digest of the gathered buffer.
+TEST(ServiceDigest, StreamedDigestEqualsGatheredDigest) {
+  sim::Machine machine(kProcs, sim::CostModel{10.0, 0.1, 0.01});
+  const auto d = layout();
+  const auto array = make_array(d);
+  const auto mask = make_mask_array(d, 0.37, 0xd1d);
+
+  // Ragged block1d PACK result.
+  const auto packed = pup::pack(machine, array, mask);
+  ASSERT_NE(packed.size % kProcs, 0) << "want a ragged block1d result";
+  EXPECT_EQ(service::result_digest(packed.vector, packed.size),
+            service::result_digest(packed.vector.gather(), packed.size));
+
+  // Block-cyclic UNPACK result.
+  const auto field = make_array(d, 100000);
+  const auto unpacked = pup::unpack(machine, packed.vector, mask, field);
+  EXPECT_EQ(unpacked.result.dist(), d);
+  EXPECT_EQ(service::result_digest(unpacked.result, unpacked.size),
+            service::result_digest(unpacked.result.gather(), unpacked.size));
+
+  // Empty PACK result.
+  const auto none = pup::pack(machine, array, make_mask_array(d, 0.0, 1));
+  ASSERT_EQ(none.size, 0);
+  EXPECT_EQ(service::result_digest(none.vector, none.size),
+            service::result_digest(none.vector.gather(), none.size));
 }
 
 TEST(ServiceRecovery, ScopedKillLeavesAllTenantsBitIdenticalToFaultFree) {

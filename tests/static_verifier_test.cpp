@@ -275,13 +275,15 @@ TEST(StaticVerifier, BatchedPackTraceMatchesExpansion) {
   std::vector<double> data(1024);
   std::iota(data.begin(), data.end(), 1.0);
   const std::size_t B = 3;
-  std::vector<dist::DistArray<double>> arrays;
-  std::vector<dist::DistArray<mask_t>> masks;
+  const auto array = dist::DistArray<double>::scatter(d, data);
+  std::vector<dist::DistArray<mask_t>> mask_data;
   for (std::size_t b = 0; b < B; ++b) {
-    arrays.push_back(dist::DistArray<double>::scatter(d, data));
-    masks.push_back(dist::DistArray<mask_t>::scatter(
+    mask_data.push_back(dist::DistArray<mask_t>::scatter(
         d, checkered_mask(1024, 0x100 + b)));
   }
+  std::vector<const dist::DistArray<double>*> arrays(B, &array);
+  std::vector<const dist::DistArray<mask_t>*> masks;
+  for (const auto& m : mask_data) masks.push_back(&m);
   for (coll::M2MSchedule m2m : kM2MKnobs) {
     PackOptions opt;
     opt.scheme = PackScheme::kCompactMessage;
