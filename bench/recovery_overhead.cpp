@@ -53,7 +53,8 @@ struct RunStats {
 };
 
 RunStats run_config(const Workload& wl, const Config& c) {
-  sim::Machine m(kProcs, kPinnedCost, sim::Topology::crossbar(kProcs));
+  sim::Machine m(kProcs, sim::CostModel::calibrated_cm5(),
+                 sim::Topology::crossbar(kProcs));
   // Installed explicitly so the bench is immune to a PUP_FAULTS env.
   m.set_fault_plan(c.spec == nullptr ? nullptr
                                      : sim::FaultPlan::parse(c.spec));

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/pack.hpp"
@@ -40,24 +41,6 @@ void check_pack_request(const PackPlan& plan, const dist::DistArray<T>& array,
 }
 
 }  // namespace detail
-
-/// PACK one request with a compiled plan: ranking runs off the plan's
-/// hoisted schedule, so no geometry is recomputed.  Events and results are
-/// bit-identical to pup::pack() with the plan's (concrete) options.
-template <typename T>
-PackResult<T> pack_with_plan(sim::Machine& machine, const PackPlan& plan,
-                             const dist::DistArray<T>& array,
-                             const dist::DistArray<mask_t>& mask) {
-  detail::check_pack_request(plan, array, mask);
-  const bool sss = plan.options.scheme == PackScheme::kSimpleStorage;
-  const dist::DistArray<mask_t>* one = &mask;
-  std::vector<RankingResult> rankings = rank_masks(
-      machine, plan.schedule,
-      std::span<const dist::DistArray<mask_t>* const>(&one, 1), sss);
-  return pup::detail::pack_execute<T>(machine, array, mask, rankings[0],
-                                      plan.options.scheme, plan.result_dist,
-                                      nullptr, plan.options);
-}
 
 /// PACK B requests, fusing their PRS rounds (one tau per round instead of
 /// B; see the header comment).  *masks[b] selects from *arrays[b]; all
@@ -87,6 +70,19 @@ std::vector<PackResult<T>> pack_batch(
         plan.result_dist, nullptr, plan.options));
   }
   return results;
+}
+
+/// PACK one request with a compiled plan: a batch of one, so ranking runs
+/// off the plan's hoisted schedule and no geometry is recomputed.  Events
+/// and results are bit-identical to pup::pack() with the plan's (concrete)
+/// options.
+template <typename T>
+PackResult<T> pack_with_plan(sim::Machine& machine, const PackPlan& plan,
+                             const dist::DistArray<T>& array,
+                             const dist::DistArray<mask_t>& mask) {
+  const dist::DistArray<mask_t>* m = &mask;
+  const dist::DistArray<T>* a = &array;
+  return std::move(pack_batch<T>(machine, plan, {&m, 1}, {&a, 1})[0]);
 }
 
 /// UNPACK one request with a compiled plan.

@@ -34,6 +34,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #ifndef NDEBUG
@@ -132,15 +133,6 @@ class ResilientExecutor {
     }
   }
 
-  /// PACK one request with a compiled plan, recovering per the policy.
-  template <typename T>
-  PackResult<T> pack(const PackPlan& plan, const dist::DistArray<T>& array,
-                     const dist::DistArray<mask_t>& mask) {
-    verify_debug(plan, 1);
-    return run(
-        [&] { return pack_with_plan<T>(machine_, plan, array, mask); });
-  }
-
   /// Batched PACK (fused PRS rounds), recovering per the policy.  The whole
   /// batch is one operation: a failure in any request rolls back and
   /// re-executes every request, keeping the fused ranking consistent.
@@ -153,6 +145,15 @@ class ResilientExecutor {
     return run([&] {
       return ::pup::plan::pack_batch<T>(machine_, plan, masks, arrays);
     });
+  }
+
+  /// PACK one request with a compiled plan: a batch of one.
+  template <typename T>
+  PackResult<T> pack(const PackPlan& plan, const dist::DistArray<T>& array,
+                     const dist::DistArray<mask_t>& mask) {
+    const dist::DistArray<mask_t>* m = &mask;
+    const dist::DistArray<T>* a = &array;
+    return std::move(pack_batch<T>(plan, {&m, 1}, {&a, 1})[0]);
   }
 
   /// UNPACK one request with a compiled plan, recovering per the policy.

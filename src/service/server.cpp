@@ -22,6 +22,10 @@ double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+/// Largest accepted deadline_us (~31.7 years): far inside steady_clock's
+/// range, so deadline_from never converts an out-of-range duration.
+constexpr double kMaxDeadlineUs = 1e15;
+
 Clock::time_point deadline_from(Clock::time_point submitted,
                                 double deadline_us) {
   if (deadline_us <= 0.0) return Clock::time_point::max();
@@ -57,7 +61,6 @@ Server::Server(Options options)
       machine_(options_.nprocs, options_.cost,
                sim::Topology::crossbar(options_.nprocs),
                resolve_exec(options_.threads)),
-      cache_(options_.plan_cache_capacity),
       exec_(machine_, options_.recovery),
       paused_(options_.start_paused) {
   PUP_REQUIRE(!options_.backend.has_value() || *options_.backend == "sim",
@@ -97,9 +100,7 @@ void Server::register_array(const Tenant& tenant, const std::string& name,
 
 Server::Submission Server::reject_locked(TenantState* tenant,
                                          RejectReason r,
-                                         std::string message,
-                                         std::promise<Response> promise) {
-  ++stats_.rejected;
+                                         std::string message) {
   if (tenant != nullptr) {
     switch (r) {
       case RejectReason::kInFlightQuota: ++tenant->stats.rejected_quota; break;
@@ -107,32 +108,89 @@ Server::Submission Server::reject_locked(TenantState* tenant,
       default: ++tenant->stats.rejected_other; break;
     }
   }
-  Response resp;
-  resp.status = Status::kRejected;
-  resp.reason = r;
-  resp.message = std::move(message);
+  std::promise<Response> promise;
   Submission s;
-  s.id = 0;
   s.response = promise.get_future();
-  promise.set_value(std::move(resp));
+  promise.set_value(
+      Response{.status = Status::kRejected, .reason = r,
+               .message = std::move(message)});
   return s;
 }
 
-Server::Submission Server::admit_locked(TenantState& tenant, Pending pending,
-                                        std::promise<Response> promise) {
-  ++stats_.admitted;
-  ++tenant.stats.admitted;
-  ++tenant.inflight;
-  stats_.bytes_in_flight += pending.admitted_bytes;
-  stats_.peak_bytes_in_flight =
-      std::max(stats_.peak_bytes_in_flight, stats_.bytes_in_flight);
+template <typename LayoutError, typename Bytes, typename Fill>
+Server::Submission Server::admit(const Tenant& name, const std::string& array,
+                                 bool concrete, double deadline_us,
+                                 const LayoutError& layout_error,
+                                 const Bytes& bytes_of, const Fill& fill) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto tit = tenants_.find(name);
+  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
+  if (tenant != nullptr) {
+    ++tenant->stats.submitted;
+  } else {
+    ++unknown_tenant_submissions_;
+  }
+  if (stopping_) {
+    return reject_locked(tenant, RejectReason::kShutdown,
+                         "server is shutting down");
+  }
+  if (tenant == nullptr) {
+    return reject_locked(nullptr, RejectReason::kUnknownTenant,
+                         "unknown tenant \"" + name + "\"");
+  }
+  const auto ait = tenant->arrays.find(array);
+  if (ait == tenant->arrays.end()) {
+    return reject_locked(tenant, RejectReason::kUnknownArray,
+                         "tenant \"" + name + "\" has no array \"" + array +
+                             "\"");
+  }
+  if (!concrete) {
+    return reject_locked(tenant, RejectReason::kBadRequest,
+                         "service requests require a concrete scheme");
+  }
+  // Written so NaN fails too; the bound keeps deadline_from's conversion
+  // in range.
+  if (!(deadline_us >= 0.0 && deadline_us <= kMaxDeadlineUs)) {
+    return reject_locked(tenant, RejectReason::kBadRequest,
+                         "deadline_us must be finite, >= 0 and <= 1e15");
+  }
+  const dist::Distribution& layout = ait->second->dist();
+  if (std::string error = layout_error(layout); !error.empty()) {
+    return reject_locked(tenant, RejectReason::kBadRequest, std::move(error));
+  }
+  if (tenant->inflight >= tenant->quota) {
+    return reject_locked(tenant, RejectReason::kInFlightQuota,
+                         "tenant \"" + name + "\" has " +
+                             std::to_string(tenant->inflight) +
+                             " requests in flight (quota " +
+                             std::to_string(tenant->quota) + ")");
+  }
+  const std::size_t bytes = bytes_of(layout);
+  if (bytes_in_flight_ + bytes > options_.byte_budget) {
+    return reject_locked(tenant, RejectReason::kByteBudget,
+                         "admitting " + std::to_string(bytes) +
+                             " bytes would exceed the byte budget");
+  }
+
+  Pending p;
+  p.owner = tenant;
+  p.priority = tenant->priority;
+  p.array = ait->second;
+  fill(p);
+  p.admitted_bytes = bytes;
+  p.submitted = Clock::now();
+  p.deadline = deadline_from(p.submitted, deadline_us);
+  p.id = next_id_++;
   Submission s;
-  s.response = promise.get_future();
-  pending.promise = std::move(promise);
-  pending.id = next_id_++;
-  s.id = pending.id;
-  queued_bytes_ += pending.admitted_bytes;
-  queue_.push_back(std::move(pending));
+  s.id = p.id;
+  s.response = p.promise.get_future();
+
+  ++tenant->stats.admitted;
+  ++tenant->inflight;
+  bytes_in_flight_ += bytes;
+  peak_bytes_in_flight_ = std::max(peak_bytes_in_flight_, bytes_in_flight_);
+  queued_bytes_ += bytes;
+  queue_.push_back(std::move(p));
   // The arrival may push the pressure signal over the line; the newcomer
   // competes on the same priority/deadline/age terms as everything queued
   // and may itself be the victim (its future then resolves kOverload).
@@ -141,45 +199,53 @@ Server::Submission Server::admit_locked(TenantState& tenant, Pending pending,
   return s;
 }
 
-void Server::resolve_unexecuted_locked(Pending p, Status status,
-                                       RejectReason r, std::string message) {
-  const auto tit = tenants_.find(p.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) {
-    --tenant->inflight;
-    switch (status) {
-      case Status::kCancelled: ++tenant->stats.cancelled; break;
-      case Status::kDeadlineExceeded: ++tenant->stats.deadline_misses; break;
-      default: ++tenant->stats.shed; break;
-    }
-  }
-  stats_.bytes_in_flight -= p.admitted_bytes;
-  switch (status) {
-    case Status::kCancelled: ++stats_.cancelled; break;
-    case Status::kDeadlineExceeded: ++stats_.deadline_misses; break;
-    default: ++stats_.shed; break;
-  }
+void Server::resolve_locked(Pending& p, Response resp,
+                            Clock::time_point dispatch,
+                            Clock::time_point done) {
+  TenantState& tenant = *p.owner;
+  --tenant.inflight;
+  bytes_in_flight_ -= p.admitted_bytes;
   cancel_requested_.erase(p.id);
-  Response resp;
-  resp.status = status;
-  resp.reason = r;
-  resp.message = std::move(message);
-  const auto now = Clock::now();
-  resp.queue_us = us_between(p.submitted, now);
-  resp.latency_us = resp.queue_us;
+  TenantStats& t = tenant.stats;
+  switch (resp.status) {
+    case Status::kOk:
+      ++t.completed;
+      ++(resp.cache_hit ? t.cache_hits : t.cache_misses);
+      ++(resp.fused ? t.fused : t.singleton);
+      break;
+    case Status::kFailed: ++t.failed; break;
+    case Status::kRejected: ++t.shed; break;
+    case Status::kCancelled: ++t.cancelled; break;
+    case Status::kDeadlineExceeded: ++t.deadline_misses; break;
+    case Status::kWatchdogTimeout: ++t.watchdog_trips; break;
+  }
+  resp.queue_us = us_between(p.submitted, dispatch);
+  resp.exec_us = us_between(dispatch, done);
+  resp.latency_us = us_between(p.submitted, done);
   p.promise.set_value(std::move(resp));
+}
+
+std::deque<Server::Pending>::iterator Server::resolve_unexecuted_locked(
+    std::deque<Pending>::iterator it, Status status, RejectReason r,
+    std::string message) {
+  Pending p = std::move(*it);
+  it = queue_.erase(it);
+  queued_bytes_ -= p.admitted_bytes;
+  const auto now = Clock::now();
+  resolve_locked(p,
+                 Response{.status = status, .reason = r,
+                          .message = std::move(message)},
+                 now, now);
+  return it;
 }
 
 void Server::shed_expired_locked() {
   const auto now = Clock::now();
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->has_deadline() && now >= it->deadline) {
-      Pending p = std::move(*it);
-      it = queue_.erase(it);
-      queued_bytes_ -= p.admitted_bytes;
-      resolve_unexecuted_locked(std::move(p), Status::kDeadlineExceeded,
-                                RejectReason::kShutdown,
-                                "deadline expired before dispatch");
+      it = resolve_unexecuted_locked(it, Status::kDeadlineExceeded,
+                                     RejectReason::kShutdown,
+                                     "deadline expired before dispatch");
     } else {
       ++it;
     }
@@ -206,11 +272,8 @@ void Server::shed_overload_locked() {
     for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
       if (worse(*it, *victim)) victim = it;
     }
-    Pending p = std::move(*victim);
-    queue_.erase(victim);
-    queued_bytes_ -= p.admitted_bytes;
     resolve_unexecuted_locked(
-        std::move(p), Status::kRejected, RejectReason::kOverload,
+        victim, Status::kRejected, RejectReason::kOverload,
         "shed by overload control (queue pressure over budget)");
   }
   if (queue_.empty() && !executing_) idle_cv_.notify_all();
@@ -228,7 +291,7 @@ void Server::note_queue_wait_locked(double wait_us) {
   const double p95 = sorted[idx];
   if (!brownout_ && p95 > options_.brownout_p95_us) {
     brownout_ = true;
-    ++stats_.brownouts;
+    ++brownouts_;
     machine_.annotate_event(sim::Event::kServiceBrownoutEnter);
   } else if (brownout_ && p95 < options_.brownout_p95_us / 2.0) {
     // Hysteresis: fusion resumes only once the p95 has clearly recovered,
@@ -239,162 +302,61 @@ void Server::note_queue_wait_locked(double wait_us) {
 }
 
 Server::Submission Server::submit_tracked(PackRequest request) {
-  std::promise<Response> promise;
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  const auto tit = tenants_.find(request.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) ++tenant->stats.submitted;
-  if (stopping_) {
-    return reject_locked(tenant, RejectReason::kShutdown,
-                         "server is shutting down", std::move(promise));
-  }
-  if (tenant == nullptr) {
-    return reject_locked(nullptr, RejectReason::kUnknownTenant,
-                         "unknown tenant \"" + request.tenant + "\"",
-                         std::move(promise));
-  }
-  const auto ait = tenant->arrays.find(request.array);
-  if (ait == tenant->arrays.end()) {
-    return reject_locked(tenant, RejectReason::kUnknownArray,
-                         "tenant \"" + request.tenant +
-                             "\" has no array \"" + request.array + "\"",
-                         std::move(promise));
-  }
-  if (request.scheme == PackScheme::kAuto) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "service requests require a concrete scheme",
-                         std::move(promise));
-  }
-  if (request.deadline_us < 0.0) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "deadline_us must be >= 0", std::move(promise));
-  }
-  if (!(request.mask.dist() == ait->second->dist())) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "mask layout does not match array \"" +
-                             request.array + "\"",
-                         std::move(promise));
-  }
-  if (tenant->inflight >= tenant->quota) {
-    return reject_locked(tenant, RejectReason::kInFlightQuota,
-                         "tenant \"" + request.tenant + "\" has " +
-                             std::to_string(tenant->inflight) +
-                             " requests in flight (quota " +
-                             std::to_string(tenant->quota) + ")",
-                         std::move(promise));
-  }
-  const std::size_t bytes = pack_bytes(ait->second->dist());
-  if (stats_.bytes_in_flight + bytes > options_.byte_budget) {
-    return reject_locked(tenant, RejectReason::kByteBudget,
-                         "admitting " + std::to_string(bytes) +
-                             " bytes would exceed the byte budget",
-                         std::move(promise));
-  }
-
-  Pending p;
-  p.op = Op::kPack;
-  p.tenant = request.tenant;
-  p.priority = tenant->priority;
-  p.array = ait->second;
-  p.mask = std::move(request.mask);
-  p.pack_scheme = request.scheme;
-  PackOptions opt;
-  opt.scheme = request.scheme;
-  p.fuse_key = plan::pack_plan_key(ait->second->dist(), sizeof(Element), opt,
-                                   std::nullopt);
-  p.admitted_bytes = bytes;
-  p.submitted = Clock::now();
-  p.deadline = deadline_from(p.submitted, request.deadline_us);
-  return admit_locked(*tenant, std::move(p), std::move(promise));
+  return admit(
+      request.tenant, request.array, request.scheme != PackScheme::kAuto,
+      request.deadline_us,
+      [&](const dist::Distribution& layout) {
+        return request.mask.dist() == layout
+                   ? std::string()
+                   : "mask layout does not match array \"" + request.array +
+                         "\"";
+      },
+      [](const dist::Distribution& layout) { return pack_bytes(layout); },
+      [&](Pending& p) {
+        p.op = Op::kPack;
+        p.pack_scheme = request.scheme;
+        PackOptions opt;
+        opt.scheme = request.scheme;
+        p.fuse_key = plan::pack_plan_key(p.array->dist(), sizeof(Element),
+                                         opt, std::nullopt);
+        p.mask = std::move(request.mask);
+      });
 }
 
 Server::Submission Server::submit_tracked(UnpackRequest request) {
-  std::promise<Response> promise;
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  const auto tit = tenants_.find(request.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) ++tenant->stats.submitted;
-  if (stopping_) {
-    return reject_locked(tenant, RejectReason::kShutdown,
-                         "server is shutting down", std::move(promise));
-  }
-  if (tenant == nullptr) {
-    return reject_locked(nullptr, RejectReason::kUnknownTenant,
-                         "unknown tenant \"" + request.tenant + "\"",
-                         std::move(promise));
-  }
-  const auto ait = tenant->arrays.find(request.field);
-  if (ait == tenant->arrays.end()) {
-    return reject_locked(tenant, RejectReason::kUnknownArray,
-                         "tenant \"" + request.tenant +
-                             "\" has no array \"" + request.field + "\"",
-                         std::move(promise));
-  }
-  if (request.scheme == UnpackScheme::kAuto) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "service requests require a concrete scheme",
-                         std::move(promise));
-  }
-  if (request.deadline_us < 0.0) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "deadline_us must be >= 0", std::move(promise));
-  }
-  if (!(request.mask.dist() == ait->second->dist()) ||
-      request.vector.dist().global().rank() != 1) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "mask must match field \"" + request.field +
-                             "\" and the vector must be rank-one",
-                         std::move(promise));
-  }
-  if (tenant->inflight >= tenant->quota) {
-    return reject_locked(tenant, RejectReason::kInFlightQuota,
-                         "tenant \"" + request.tenant + "\" has " +
-                             std::to_string(tenant->inflight) +
-                             " requests in flight (quota " +
-                             std::to_string(tenant->quota) + ")",
-                         std::move(promise));
-  }
-  const std::size_t bytes =
-      unpack_bytes(ait->second->dist(), request.vector.dist());
-  if (stats_.bytes_in_flight + bytes > options_.byte_budget) {
-    return reject_locked(tenant, RejectReason::kByteBudget,
-                         "admitting " + std::to_string(bytes) +
-                             " bytes would exceed the byte budget",
-                         std::move(promise));
-  }
-
-  Pending p;
-  p.op = Op::kUnpack;
-  p.tenant = request.tenant;
-  p.priority = tenant->priority;
-  p.array = ait->second;
-  p.mask = std::move(request.mask);
-  p.vector = std::move(request.vector);
-  p.unpack_scheme = request.scheme;
-  if (options_.watchdog_factor > 0.0) {
-    // Unpacks never fuse, but the watchdog baseline is keyed by plan.
-    UnpackOptions opt;
-    opt.scheme = request.scheme;
-    p.fuse_key = plan::unpack_plan_key(ait->second->dist(),
-                                       p.vector.dist(), sizeof(Element), opt);
-  }
-  p.admitted_bytes = bytes;
-  p.submitted = Clock::now();
-  p.deadline = deadline_from(p.submitted, request.deadline_us);
-  return admit_locked(*tenant, std::move(p), std::move(promise));
+  return admit(
+      request.tenant, request.field, request.scheme != UnpackScheme::kAuto,
+      request.deadline_us,
+      [&](const dist::Distribution& layout) {
+        return request.mask.dist() == layout &&
+                       request.vector.dist().global().rank() == 1
+                   ? std::string()
+                   : "mask must match field \"" + request.field +
+                         "\" and the vector must be rank-one";
+      },
+      [&](const dist::Distribution& layout) {
+        return unpack_bytes(layout, request.vector.dist());
+      },
+      [&](Pending& p) {
+        p.op = Op::kUnpack;
+        p.unpack_scheme = request.scheme;
+        if (options_.watchdog_factor > 0.0) {
+          // Unpacks never fuse, but the watchdog baseline is keyed by plan.
+          UnpackOptions opt;
+          opt.scheme = request.scheme;
+          p.fuse_key = plan::unpack_plan_key(
+              p.array->dist(), request.vector.dist(), sizeof(Element), opt);
+        }
+        p.mask = std::move(request.mask);
+        p.vector = std::move(request.vector);
+      });
 }
 
 bool Server::cancel(std::uint64_t id) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->id != id) continue;
-    Pending p = std::move(*it);
-    queue_.erase(it);
-    queued_bytes_ -= p.admitted_bytes;
-    resolve_unexecuted_locked(std::move(p), Status::kCancelled,
-                              RejectReason::kShutdown,
+    resolve_unexecuted_locked(it, Status::kCancelled, RejectReason::kShutdown,
                               "cancelled while queued");
     if (queue_.empty() && !executing_) idle_cv_.notify_all();
     return true;
@@ -437,11 +399,8 @@ void Server::shutdown() {
     // can block or leak.  The batch already executing (if any) finishes on
     // the scheduler thread before it observes stop_.
     while (!queue_.empty()) {
-      Pending p = std::move(queue_.front());
-      queue_.pop_front();
-      queued_bytes_ -= p.admitted_bytes;
       resolve_unexecuted_locked(
-          std::move(p), Status::kRejected, RejectReason::kShutdown,
+          queue_.begin(), Status::kRejected, RejectReason::kShutdown,
           "server shut down before the request was dispatched");
     }
     idle_cv_.notify_all();
@@ -452,7 +411,27 @@ void Server::shutdown() {
 
 ServerStats Server::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ServerStats s;
+  s.submitted = unknown_tenant_submissions_;
+  s.rejected = unknown_tenant_submissions_;
+  for (const auto& [name, state] : tenants_) {
+    const TenantStats& t = state.stats;
+    s.submitted += t.submitted;
+    s.admitted += t.admitted;
+    s.rejected += t.rejected_quota + t.rejected_bytes + t.rejected_other;
+    s.completed += t.completed;
+    s.failed += t.failed;
+    s.shed += t.shed;
+    s.cancelled += t.cancelled;
+    s.deadline_misses += t.deadline_misses;
+    s.watchdog_trips += t.watchdog_trips;
+    s.fused_requests += t.fused;
+  }
+  s.brownouts = brownouts_;
+  s.batches = batches_;
+  s.bytes_in_flight = bytes_in_flight_;
+  s.peak_bytes_in_flight = peak_bytes_in_flight_;
+  return s;
 }
 
 TenantStats Server::tenant_stats(const Tenant& tenant) const {
@@ -536,9 +515,8 @@ void Server::execute(std::vector<Pending> batch) {
   // batch strictly shrinks on every trip, so the loop terminates.
   while (!batch.empty()) {
     const std::size_t n = batch.size();
-    std::vector<std::uint64_t> digests(n, 0);
-    std::vector<std::int64_t> selected(n, 0);
-    bool cache_hit = false;
+    const Pending& head = batch.front();
+    std::vector<Response> served(n);
     bool failed = false;
     std::string error;
     sim::StopCause trip = sim::StopCause::kNone;
@@ -559,7 +537,7 @@ void Server::execute(std::vector<Pending> batch) {
         use_token = true;
       }
       if (options_.watchdog_factor > 0.0) {
-        const auto bit = baseline_us_.find(batch.front().fuse_key);
+        const auto bit = baseline_us_.find(head.fuse_key);
         if (bit != baseline_us_.end()) {
           token.set_watchdog_budget_us(options_.watchdog_factor *
                                        bit->second *
@@ -576,57 +554,57 @@ void Server::execute(std::vector<Pending> batch) {
     const double modeled_entry = machine_.modeled_total_us();
 
     try {
-      if (batch.front().op == Op::kPack) {
+      const auto before = cache_.stats();
+      std::shared_ptr<const plan::PackPlan> pack_plan;
+      std::shared_ptr<const plan::UnpackPlan> unpack_plan;
+      if (head.op == Op::kPack) {
         PackOptions opt;
-        opt.scheme = batch.front().pack_scheme;
-        const auto before = cache_.stats();
-        auto plan = cache_.pack_plan(machine_, batch.front().array->dist(),
+        opt.scheme = head.pack_scheme;
+        pack_plan = cache_.pack_plan(machine_, head.array->dist(),
                                      sizeof(Element), opt);
-        cache_hit = cache_.stats().hits > before.hits;
-        // Per-request cache attribution, observer-visible alongside the
-        // cache's own plan.cache.* events.
-        const sim::Event cache_event = cache_hit
-                                           ? sim::Event::kServiceCacheHit
-                                           : sim::Event::kServiceCacheMiss;
-        for (std::size_t i = 0; i < n; ++i) {
-          machine_.annotate_event(cache_event);
-        }
-        sim::PhaseScope phase(machine_, "service.execute");
-        if (n == 1) {
-          auto result =
-              exec_.pack<Element>(*plan, *batch[0].array, batch[0].mask);
-          digests[0] = result_digest(result.vector, result.size);
-          selected[0] = result.size;
-        } else {
-          std::vector<const dist::DistArray<mask_t>*> masks;
-          std::vector<const dist::DistArray<Element>*> arrays;
-          masks.reserve(n);
-          arrays.reserve(n);
-          for (const Pending& p : batch) {
-            masks.push_back(&p.mask);
-            arrays.push_back(p.array.get());
-          }
-          auto results = exec_.pack_batch<Element>(*plan, masks, arrays);
-          for (std::size_t i = 0; i < n; ++i) {
-            digests[i] = result_digest(results[i].vector, results[i].size);
-            selected[i] = results[i].size;
-          }
-        }
       } else {
         UnpackOptions opt;
-        opt.scheme = batch.front().unpack_scheme;
-        const auto before = cache_.stats();
-        auto plan = cache_.unpack_plan(machine_, batch.front().array->dist(),
-                                       batch.front().vector.dist(),
-                                       sizeof(Element), opt);
-        cache_hit = cache_.stats().hits > before.hits;
+        opt.scheme = head.unpack_scheme;
+        unpack_plan = cache_.unpack_plan(machine_, head.array->dist(),
+                                         head.vector.dist(), sizeof(Element),
+                                         opt);
+      }
+      const bool cache_hit = cache_.stats().hits > before.hits;
+      // Per-request cache attribution, observer-visible alongside the
+      // cache's own plan.cache.* events.
+      for (std::size_t i = 0; i < n; ++i) {
         machine_.annotate_event(cache_hit ? sim::Event::kServiceCacheHit
                                           : sim::Event::kServiceCacheMiss);
-        sim::PhaseScope phase(machine_, "service.execute");
-        auto result = exec_.unpack<Element>(*plan, batch[0].vector,
-                                            batch[0].mask, *batch[0].array);
-        digests[0] = result_digest(result.result, result.size);
-        selected[0] = result.size;
+      }
+      const auto serve = [&](std::size_t i, std::uint64_t digest,
+                             std::int64_t selected) {
+        Response& r = served[i];
+        r.status = Status::kOk;
+        r.digest = digest;
+        r.selected = selected;
+        r.fused = n > 1;
+        r.batch_size = n;
+        r.cache_hit = cache_hit;
+      };
+      sim::PhaseScope phase(machine_, "service.execute");
+      if (pack_plan != nullptr) {
+        std::vector<const dist::DistArray<mask_t>*> masks;
+        std::vector<const dist::DistArray<Element>*> arrays;
+        masks.reserve(n);
+        arrays.reserve(n);
+        for (const Pending& p : batch) {
+          masks.push_back(&p.mask);
+          arrays.push_back(p.array.get());
+        }
+        auto results = exec_.pack_batch<Element>(*pack_plan, masks, arrays);
+        for (std::size_t i = 0; i < n; ++i) {
+          serve(i, result_digest(results[i].vector, results[i].size),
+                results[i].size);
+        }
+      } else {
+        auto result = exec_.unpack<Element>(*unpack_plan, head.vector,
+                                            head.mask, *head.array);
+        serve(0, result_digest(result.result, result.size), result.size);
       }
     } catch (const sim::CancelError& e) {
       trip = e.cause();
@@ -653,7 +631,11 @@ void Server::execute(std::vector<Pending> batch) {
     active_ids_.clear();
 
     if (trip != sim::StopCause::kNone) {
-      Status status = Status::kCancelled;
+      const Status status = trip == sim::StopCause::kDeadline
+                                ? Status::kDeadlineExceeded
+                            : trip == sim::StopCause::kWatchdog
+                                ? Status::kWatchdogTimeout
+                                : Status::kCancelled;
       std::vector<Pending> tripped;
       std::vector<Pending> keep;
       const auto now = Clock::now();
@@ -673,95 +655,27 @@ void Server::execute(std::vector<Pending> batch) {
         tripped = std::move(keep);
         keep.clear();
       }
-      switch (trip) {
-        case sim::StopCause::kDeadline:
-          status = Status::kDeadlineExceeded;
-          break;
-        case sim::StopCause::kWatchdog:
-          status = Status::kWatchdogTimeout;
-          break;
-        default:
-          status = Status::kCancelled;
-          break;
-      }
       for (Pending& p : tripped) {
-        cancel_requested_.erase(p.id);
-        const auto tit = tenants_.find(p.tenant);
-        TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-        if (tenant != nullptr) {
-          --tenant->inflight;
-          switch (status) {
-            case Status::kCancelled: ++tenant->stats.cancelled; break;
-            case Status::kDeadlineExceeded:
-              ++tenant->stats.deadline_misses;
-              break;
-            default: ++tenant->stats.watchdog_trips; break;
-          }
-        }
-        stats_.bytes_in_flight -= p.admitted_bytes;
-        switch (status) {
-          case Status::kCancelled: ++stats_.cancelled; break;
-          case Status::kDeadlineExceeded: ++stats_.deadline_misses; break;
-          default: ++stats_.watchdog_trips; break;
-        }
-        Response resp;
-        resp.status = status;
-        resp.message = error;
-        resp.queue_us = us_between(p.submitted, dispatch);
-        resp.exec_us = us_between(dispatch, done);
-        resp.latency_us = us_between(p.submitted, done);
-        p.promise.set_value(std::move(resp));
+        resolve_locked(p, Response{.status = status, .message = error},
+                       dispatch, done);
       }
       batch = std::move(keep);
       continue;
     }
 
-    ++stats_.batches;
+    ++batches_;
     if (!failed && options_.watchdog_factor > 0.0) {
       // Learn the modeled cost per request for this plan key; the next
       // dispatch of the key gets a watchdog budget from it.
-      baseline_us_[batch.front().fuse_key] =
+      baseline_us_[head.fuse_key] =
           (modeled_exit - modeled_entry) / static_cast<double>(n);
     }
-    const bool fused = n > 1;
     for (std::size_t i = 0; i < n; ++i) {
-      Pending& p = batch[i];
-      cancel_requested_.erase(p.id);
-      const auto tit = tenants_.find(p.tenant);
-      TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-      if (tenant != nullptr) {
-        --tenant->inflight;
-        if (failed) {
-          ++tenant->stats.failed;
-        } else {
-          ++tenant->stats.completed;
-          if (cache_hit) ++tenant->stats.cache_hits;
-          else ++tenant->stats.cache_misses;
-          if (fused) ++tenant->stats.fused;
-          else ++tenant->stats.singleton;
-        }
-      }
-      stats_.bytes_in_flight -= p.admitted_bytes;
-      if (failed) ++stats_.failed;
-      else ++stats_.completed;
-      if (fused) ++stats_.fused_requests;
-
-      Response resp;
-      if (failed) {
-        resp.status = Status::kFailed;
-        resp.message = error;
-      } else {
-        resp.status = Status::kOk;
-        resp.digest = digests[i];
-        resp.selected = selected[i];
-        resp.fused = fused;
-        resp.batch_size = n;
-        resp.cache_hit = cache_hit;
-      }
-      resp.queue_us = us_between(p.submitted, dispatch);
-      resp.exec_us = us_between(dispatch, done);
-      resp.latency_us = us_between(p.submitted, done);
-      p.promise.set_value(std::move(resp));
+      resolve_locked(batch[i],
+                     failed ? Response{.status = Status::kFailed,
+                                       .message = error}
+                            : std::move(served[i]),
+                     dispatch, done);
     }
     break;
   }

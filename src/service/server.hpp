@@ -6,7 +6,7 @@
 //
 //   submit() --admission--> queue --batching window--> execute --> Response
 //
-// with four pieces layered on the existing subsystems:
+// with five pieces layered on the existing subsystems:
 //
 //   * Admission control (submit, caller's thread, under one mutex): a
 //     request is admitted only if its tenant exists, the named array
@@ -14,7 +14,11 @@
 //     left, and the global byte budget can absorb the payload.  Anything
 //     else resolves the caller's future *immediately* with a typed
 //     Rejected{reason} response -- over-quota traffic can never crash or
-//     wedge the server, only be refused.
+//     wedge the server, only be refused.  PACK and UNPACK share one
+//     admission routine; they differ only in the layout check, the payload
+//     byte count and the queued fields.  Every admitted request likewise
+//     ends in one resolution routine, whatever its outcome, which is the
+//     only place outcomes are counted.
 //
 //   * Batching-window scheduler (one dedicated thread): the scheduler pops
 //     the oldest admitted request and -- when Options::window_us > 0 --
@@ -110,8 +114,6 @@ class Server {
     std::size_t tenant_inflight_quota = 8;
     /// Global budget for admitted-but-incomplete payload bytes.
     std::size_t byte_budget = std::size_t{1} << 30;
-
-    std::size_t plan_cache_capacity = 64;
 
     /// Rollback + re-execute policy for the embedded ResilientExecutor
     /// (default: disabled -- transport errors propagate as kFailed).
@@ -258,11 +260,20 @@ class Server {
  private:
   enum class Op { kPack, kUnpack };
 
+  struct TenantState {
+    std::size_t quota = 0;
+    Priority priority = Priority::kStandard;
+    std::size_t inflight = 0;
+    TenantStats stats;
+    std::map<std::string, std::shared_ptr<const dist::DistArray<Element>>>
+        arrays;
+  };
+
   /// One admitted request waiting in (or popped from) the queue.
   struct Pending {
     std::uint64_t id = 0;
     Op op = Op::kPack;
-    Tenant tenant;
+    TenantState* owner = nullptr;  ///< stable: tenants are never erased
     Priority priority = Priority::kStandard;
     std::shared_ptr<const dist::DistArray<Element>> array;  ///< pack / field
     dist::DistArray<mask_t> mask;
@@ -284,28 +295,36 @@ class Server {
     }
   };
 
-  struct TenantState {
-    std::size_t quota = 0;
-    Priority priority = Priority::kStandard;
-    std::size_t inflight = 0;
-    TenantStats stats;
-    std::map<std::string, std::shared_ptr<const dist::DistArray<Element>>>
-        arrays;
-  };
-
-  /// Admission tail shared by both submit overloads.  Caller holds mu_.
+  /// The one admission routine behind both submit_tracked overloads.
+  /// Runs the checks both kinds share -- shutdown, tenant, array, concrete
+  /// scheme, deadline -- then the kind's `layout_error(array layout)`
+  /// (empty when the request fits), the tenant quota and the byte budget
+  /// for `bytes(array layout)`; on success `fill` supplies the kind's
+  /// Pending fields and the request is enqueued.  Defined in server.cpp.
+  template <typename LayoutError, typename Bytes, typename Fill>
+  Submission admit(const Tenant& tenant, const std::string& array,
+                   bool concrete, double deadline_us,
+                   const LayoutError& layout_error, const Bytes& bytes,
+                   const Fill& fill);
+  /// A never-admitted request's already-resolved handle (id 0).  Caller
+  /// holds mu_.
   Submission reject_locked(TenantState* tenant, RejectReason r,
-                           std::string message,
-                           std::promise<Response> promise);
-  Submission admit_locked(TenantState& tenant, Pending pending,
-                          std::promise<Response> promise);
+                           std::string message);
 
-  /// Terminal resolution of an *admitted but never executed* request:
-  /// unwinds quota/byte accounting, buckets the typed outcome (shed /
-  /// cancelled / deadline-miss), and fulfills the promise.  Caller holds
-  /// mu_; queue_/queued_bytes_ maintenance stays with the caller.
-  void resolve_unexecuted_locked(Pending p, Status status, RejectReason r,
-                                 std::string message);
+  /// The one resolution routine: every admitted request ends here exactly
+  /// once.  Unwinds quota, bytes and any pending cancel, counts the outcome
+  /// in its tenant's bucket by resp.status, stamps the queue/exec/latency
+  /// times (dispatch == done for a request that never executed), and
+  /// fulfils the promise.  Caller holds mu_.
+  void resolve_locked(Pending& p, Response resp,
+                      std::chrono::steady_clock::time_point dispatch,
+                      std::chrono::steady_clock::time_point done);
+  /// Removes a still-queued request and resolves it without execution
+  /// (shed / cancelled / deadline-miss / dropped at shutdown); returns the
+  /// next queue position.  Caller holds mu_.
+  std::deque<Pending>::iterator resolve_unexecuted_locked(
+      std::deque<Pending>::iterator it, Status status, RejectReason r,
+      std::string message);
 
   /// Resolves every queued request whose deadline already passed (typed
   /// kDeadlineExceeded, zero machine time).  Caller holds mu_.
@@ -321,11 +340,11 @@ class Server {
   /// Moves every queued pack request matching batch[0]'s fuse key into the
   /// batch (arrival order preserved), up to max_batch.  Caller holds mu_.
   void collect_fusable_locked(std::vector<Pending>& batch);
-  /// Executes one batch (all pack requests sharing a fuse key, or a single
-  /// request of either kind) and fulfills its promises.  Runs on the
-  /// scheduler thread with mu_ released.  A deadline/cancel trip resolves
-  /// only the tripped members and re-executes the remainder; a watchdog
-  /// trip resolves the whole batch.
+  /// Executes one batch (pack requests sharing a fuse key, run through
+  /// pack_batch even when alone, or a single unpack) and resolves its
+  /// promises.  Runs on the scheduler thread with mu_ released.  A
+  /// deadline/cancel trip resolves only the tripped members and
+  /// re-executes the remainder; a watchdog trip resolves the whole batch.
   void execute(std::vector<Pending> batch);
 
   Options options_;
@@ -338,12 +357,21 @@ class Server {
   std::condition_variable idle_cv_;  ///< drain()/shutdown() wake-ups
   std::deque<Pending> queue_;
   std::map<Tenant, TenantState> tenants_;
-  ServerStats stats_;
   std::uint64_t next_id_ = 1;
   bool paused_ = false;
   bool stopping_ = false;   ///< no new admissions
   bool stop_ = false;       ///< scheduler exits once the queue drains
   bool executing_ = false;  ///< a batch is out of the queue being served
+
+  /// Server-level counters.  Every other ServerStats bucket is a sum of
+  /// TenantStats buckets, computed by stats(); submissions naming an
+  /// unknown tenant have no tenant to land on (all are rejected).  Guarded
+  /// by mu_.
+  std::int64_t unknown_tenant_submissions_ = 0;
+  std::int64_t batches_ = 0;
+  std::int64_t brownouts_ = 0;
+  std::size_t bytes_in_flight_ = 0;
+  std::size_t peak_bytes_in_flight_ = 0;
 
   /// Payload bytes of *queued* (not yet dispatched) requests; one factor
   /// of the overload pressure signal.  Guarded by mu_.

@@ -44,7 +44,7 @@ enum class RejectReason {
   kUnknownTenant,   ///< tenant was never registered
   kUnknownArray,    ///< tenant has no array of that name
   kBadRequest,      ///< malformed request (kAuto scheme, layout mismatch,
-                    ///< negative deadline)
+                    ///< deadline negative, non-finite or over 1e15 us)
   kInFlightQuota,   ///< tenant's in-flight request quota is exhausted
   kByteBudget,      ///< admitting the payload would exceed the global budget
   kShutdown,        ///< server is draining; no new work accepted.  Also the
@@ -137,8 +137,10 @@ struct PackRequest {
   /// submission; 0 means none (the default costs nothing).  An expired
   /// request is shed from the queue before any machine time is spent on
   /// it, or tripped at the next round boundary if already executing;
-  /// either way the future resolves Status::kDeadlineExceeded.  Negative
-  /// values reject as kBadRequest.
+  /// either way the future resolves Status::kDeadlineExceeded.  Negative,
+  /// NaN and infinite values, and values above 1e15 (~31.7 years, the
+  /// bound that keeps the absolute deadline representable), reject as
+  /// kBadRequest.
   double deadline_us = 0.0;
 };
 
@@ -168,11 +170,7 @@ struct Response {
 };
 
 /// Per-tenant accounting, readable at any time via Server::tenant_stats.
-/// Cache hits/misses count the shared PlanCache lookups made on this
-/// tenant's behalf (a fused batch's single lookup is attributed to every
-/// participating tenant -- each of their requests was served by it).
-/// Per-tenant (and, mirrored below, whole-server) accounting.  Every
-/// admitted request resolves into exactly one terminal bucket, so at
+/// Every admitted request resolves into exactly one terminal bucket, so at
 /// quiescence the balance holds exactly:
 ///
 ///   admitted == completed + failed + shed + cancelled
@@ -183,6 +181,10 @@ struct Response {
 /// `rejected_*` counts never-admitted submissions (admission refused the
 /// request before it touched the queue); `shed` counts admitted requests
 /// terminated *without execution* by overload eviction or shutdown.
+/// Cache hits/misses count the shared PlanCache lookups made on this
+/// tenant's behalf (a fused batch's single lookup is attributed to every
+/// participating tenant -- each of their requests was served by it), so
+/// completed == cache_hits + cache_misses == fused + singleton.
 struct TenantStats {
   std::int64_t submitted = 0;
   std::int64_t admitted = 0;
@@ -202,7 +204,11 @@ struct TenantStats {
   std::int64_t singleton = 0;  ///< requests served alone
 };
 
-/// Whole-server accounting; same balance invariant as TenantStats.
+/// Whole-server accounting; same balance invariant as TenantStats.  Each
+/// outcome bucket is the sum of the tenants' buckets (fused_requests sums
+/// TenantStats::fused); submitted and rejected also count submissions
+/// naming an unknown tenant.  batches, brownouts and the byte counters are
+/// server-level.
 struct ServerStats {
   std::int64_t submitted = 0;
   std::int64_t admitted = 0;
@@ -217,7 +223,7 @@ struct ServerStats {
   std::int64_t brownouts = 0;        ///< brown-out engagements (window
                                      ///< collapsed under queue-wait p95)
   std::int64_t batches = 0;          ///< execution dispatches
-  std::int64_t fused_requests = 0;   ///< requests served in batches >= 2
+  std::int64_t fused_requests = 0;   ///< requests completed in batches >= 2
   std::size_t bytes_in_flight = 0;   ///< admitted-but-incomplete payload
   std::size_t peak_bytes_in_flight = 0;
 };

@@ -1,11 +1,5 @@
 #include "sim/cost_model.hpp"
 
-#include <chrono>
-#include <cstdint>
-#include <vector>
-
-#include "support/rng.hpp"
-
 namespace pup::sim {
 namespace {
 
@@ -13,38 +7,13 @@ namespace {
 /// a few instructions plus a memory touch per element): ~0.3 us/element.
 constexpr double kCm5LocalOpUs = 0.3;
 
-double measure_host_local_op_us() {
-  // A mask scan with a data-dependent branch, deliberately similar to the
-  // initial-scan kernel of the ranking algorithm.
-  constexpr std::size_t kElems = 1 << 20;
-  std::vector<std::uint8_t> mask(kElems);
-  Xoshiro256 rng(0x9e3779b97f4a7c15ULL);
-  for (auto& m : mask) m = static_cast<std::uint8_t>(rng.next() & 1);
-
-  volatile std::int64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::int64_t count = 0;
-  for (std::size_t rep = 0; rep < 4; ++rep) {
-    std::int64_t local = 0;
-    for (std::size_t i = 0; i < kElems; ++i) {
-      if (mask[i]) ++local;
-    }
-    count += local;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  sink = count;
-  (void)sink;
-  const double us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count();
-  return us / (4.0 * static_cast<double>(kElems));
-}
+/// One reading of the host's per-element mask-scan cost (a scan with a
+/// data-dependent branch, like the ranking's initial-scan kernel), taken
+/// on a 4-vCPU Intel Xeon.  Pinned so modeled time repeats bit for bit
+/// from run to run and host to host.
+constexpr double kPinnedHostLocalOpUs = 0.00028350877761840822;
 
 }  // namespace
-
-double host_local_op_us() {
-  static const double value = measure_host_local_op_us();
-  return value;
-}
 
 CostModel CostModel::cm5() {
   return CostModel{/*tau_us=*/86.0, /*mu_us_per_byte=*/0.12,
@@ -58,10 +27,10 @@ CostModel CostModel::modern_cluster() {
 
 CostModel CostModel::calibrated_cm5() {
   CostModel m = cm5();
-  const double scale = host_local_op_us() / kCm5LocalOpUs;
+  const double scale = kPinnedHostLocalOpUs / kCm5LocalOpUs;
   m.tau_us *= scale;
   m.mu_us_per_byte *= scale;
-  m.delta_us = host_local_op_us();
+  m.delta_us = kPinnedHostLocalOpUs;
   return m;
 }
 

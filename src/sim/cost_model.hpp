@@ -35,21 +35,18 @@ struct CostModel {
   /// A modern commodity-cluster flavour (~2 us start-up, ~10 GB/s).
   static CostModel modern_cluster();
 
-  /// CM-5 constants rescaled so that the ratio between network time and the
-  /// *host's* real local-computation speed matches the ratio on a CM-5.
+  /// CM-5 constants rescaled so that the ratio between network time and a
+  /// modern host's local-computation speed matches the ratio on a CM-5.
   ///
   /// Benchmarks measure local computation as real wall-clock time of each
   /// virtual processor, but model communication analytically.  A 2026 CPU
   /// executes the local kernels far faster than a 33 MHz SPARC did, so using
   /// raw CM-5 tau/mu would make every experiment communication-bound and
   /// destroy the local-vs-communication balance the paper reports.  This
-  /// preset measures the host's per-element scan cost once (memoized) and
-  /// scales tau/mu by host_per_op / cm5_per_op, preserving the balance.
+  /// preset scales tau/mu by host_per_op / cm5_per_op, where host_per_op is
+  /// one pinned reading of a per-element mask scan (a 4-vCPU Intel Xeon), so
+  /// modeled time is the same on every run and every host.
   static CostModel calibrated_cm5();
 };
-
-/// Measures the host's cost of one mask-scan-like local operation, in
-/// microseconds per element.  Memoized after the first call.
-double host_local_op_us();
 
 }  // namespace pup::sim

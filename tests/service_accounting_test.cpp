@@ -1,18 +1,22 @@
-// Property test (the S3 satellite): TenantStats and the global byte budget
-// balance *exactly* across randomized mixed admit / reject / shed / cancel
-// / complete sequences, including recovery re-execution and
-// queued-at-shutdown disposal.  For every seeded scenario:
+// Property test: TenantStats and the global byte budget balance *exactly*
+// across randomized mixed PACK / UNPACK admit / reject / shed / cancel /
+// complete sequences, including recovery re-execution and queued-at-
+// shutdown disposal.  For every seeded scenario:
 //
 //   admitted == completed + failed + shed + cancelled + deadline_misses
 //               + watchdog_trips                      (terminal exclusivity)
 //   submitted == admitted + rejected                  (admission totality)
 //   bytes_in_flight == 0 at quiescence               (budget unwind)
 //   every global bucket == the sum of its per-tenant buckets
+//   completed == cache_hits + cache_misses == fused + singleton (per tenant)
+//   the responses' status tally == the buckets: kOk == completed,
+//   kRejected == rejected + shed, and one bucket per other status
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -33,6 +37,7 @@ using service::Server;
 using service::ServerStats;
 using service::Status;
 using service::TenantStats;
+using service::UnpackRequest;
 
 constexpr int kProcs = 4;
 constexpr dist::index_t kN = 1024;
@@ -50,7 +55,8 @@ dist::DistArray<Element> make_array(const dist::Distribution& d) {
 }
 
 void check_balance(const ServerStats& g, const TenantStats& a,
-                   const TenantStats& b, const std::string& label) {
+                   const TenantStats& b, std::map<Status, std::int64_t> tally,
+                   const std::string& label) {
   EXPECT_EQ(g.admitted, g.completed + g.failed + g.shed + g.cancelled +
                             g.deadline_misses + g.watchdog_trips)
       << label;
@@ -64,6 +70,8 @@ void check_balance(const ServerStats& g, const TenantStats& a,
     EXPECT_EQ(t->submitted, t->admitted + t->rejected_quota +
                                 t->rejected_bytes + t->rejected_other)
         << label;
+    EXPECT_EQ(t->completed, t->cache_hits + t->cache_misses) << label;
+    EXPECT_EQ(t->completed, t->fused + t->singleton) << label;
   }
   // Only registered tenants submit in this test, so every global bucket is
   // exactly the sum of the per-tenant buckets.
@@ -80,6 +88,14 @@ void check_balance(const ServerStats& g, const TenantStats& a,
                             a.rejected_other + b.rejected_quota +
                             b.rejected_bytes + b.rejected_other)
       << label;
+  EXPECT_EQ(g.fused_requests, a.fused + b.fused) << label;
+  // What the clients saw agrees with the books.
+  EXPECT_EQ(tally[Status::kOk], g.completed) << label;
+  EXPECT_EQ(tally[Status::kRejected], g.rejected + g.shed) << label;
+  EXPECT_EQ(tally[Status::kFailed], g.failed) << label;
+  EXPECT_EQ(tally[Status::kCancelled], g.cancelled) << label;
+  EXPECT_EQ(tally[Status::kDeadlineExceeded], g.deadline_misses) << label;
+  EXPECT_EQ(tally[Status::kWatchdogTimeout], g.watchdog_trips) << label;
 }
 
 /// One randomized scenario.  `drain_first` selects the quiescence path:
@@ -126,19 +142,33 @@ void run_scenario(std::uint64_t seed, bool drain_first) {
   std::vector<Server::Submission> subs;
   subs.reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
-    PackRequest r;
-    r.tenant = kTenants[rng.next_below(2)];
-    r.array = "x";
-    r.mask = dist::DistArray<mask_t>::scatter(
+    const char* tenant = kTenants[rng.next_below(2)];
+    auto mask = dist::DistArray<mask_t>::scatter(
         d, random_mask(kN, 0.2 + 0.6 * rng.next_double(),
                        seed ^ (31ULL * i)));
     const auto roll = rng.next_below(100);
+    double deadline_us = 0.0;
     if (roll < 20) {
-      r.deadline_us = 1.0;  // certain miss while the scheduler is paused
+      deadline_us = 1.0;  // certain miss while the scheduler is paused
     } else if (roll < 35) {
-      r.deadline_us = 60e6;
+      deadline_us = 60e6;
     }
-    subs.push_back(server.submit_tracked(std::move(r)));
+    if (rng.next_below(100) < 30) {
+      UnpackRequest r;
+      r.tenant = tenant;
+      r.field = "x";
+      r.mask = std::move(mask);
+      r.vector = make_array(dist::Distribution::block1d(kN, kProcs));
+      r.deadline_us = deadline_us;
+      subs.push_back(server.submit_tracked(std::move(r)));
+    } else {
+      PackRequest r;
+      r.tenant = tenant;
+      r.array = "x";
+      r.mask = std::move(mask);
+      r.deadline_us = deadline_us;
+      subs.push_back(server.submit_tracked(std::move(r)));
+    }
   }
   // Cancel a random subset (queued, rejected-already, and repeats: every
   // combination must keep the books exact).
@@ -158,14 +188,16 @@ void run_scenario(std::uint64_t seed, bool drain_first) {
     // resolve Rejected{kShutdown} and be counted as shed.
     server.shutdown();
   }
+  std::map<Status, std::int64_t> tally;
   for (auto& s : subs) {
     ASSERT_EQ(s.response.wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << "seed " << seed << ": a future leaked";
-    s.response.get();  // typed; outcome itself is free to vary by seed
+    // Typed; the outcome itself is free to vary by seed.
+    ++tally[s.response.get().status];
   }
   check_balance(server.stats(), server.tenant_stats("a"),
-                server.tenant_stats("b"),
+                server.tenant_stats("b"), std::move(tally),
                 "seed " + std::to_string(seed) +
                     (drain_first ? " drained" : " dropped"));
 }

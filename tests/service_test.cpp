@@ -1,6 +1,7 @@
 // Multi-tenant pack/unpack service:
-//   * admission control rejects over-quota tenants and over-budget
-//     payloads deterministically, with typed reasons and zero crashes;
+//   * admission control rejects over-quota tenants, over-budget payloads
+//     and malformed PACK and UNPACK requests (including non-finite
+//     deadlines) deterministically, with typed reasons and zero crashes;
 //   * window fusion produces digests bit-identical to singleton execution
 //     while charging fewer modeled PRS startups;
 //   * a kill= fault plan striking one tenant's epoch rolls back and
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -198,6 +200,85 @@ TEST(ServiceAdmission, RejectsOverBudgetAndMalformedRequests) {
   EXPECT_EQ(f2.get().status, Status::kOk);
   EXPECT_EQ(server.stats().bytes_in_flight, 0u);
   EXPECT_EQ(server.stats().peak_bytes_in_flight, 2 * per_request);
+  server.shutdown();
+}
+
+TEST(ServiceAdmission, RejectsMalformedUnpackAndBadDeadlinesOnBothKinds) {
+  auto opt = base_options();
+  const auto d = layout();
+  // Budget fits two pack requests but only one unpack (mask + field +
+  // input vector: 17 bytes per element against 18).
+  opt.byte_budget = 2 * static_cast<std::size_t>(d.global().size()) *
+                    (sizeof(mask_t) + sizeof(Element));
+  Server server(opt);
+  server.register_tenant("a", /*quota=*/1);
+  server.register_tenant("b");
+  server.register_array("a", "x", make_array(d, 0));
+  server.register_array("b", "x", make_array(d, 1000));
+
+  const auto unpack_req = [&](const std::string& tenant,
+                              const std::string& field, std::uint64_t seed) {
+    UnpackRequest r;
+    r.tenant = tenant;
+    r.field = field;
+    r.mask = make_mask_array(d, 0.5, seed);
+    r.vector = make_array(d, 5000);
+    return r;
+  };
+  // A rejection resolves at once.  An admitted request stays queued while
+  // the scheduler is paused, so it is reported, never waited on.
+  const auto reason_of = [&](auto request) {
+    auto f = server.submit(std::move(request));
+    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      ADD_FAILURE() << "admitted; expected an immediate rejection";
+      return RejectReason::kShutdown;
+    }
+    const Response r = f.get();
+    EXPECT_EQ(r.status, Status::kRejected);
+    return r.reason;
+  };
+
+  // Negative, NaN, infinite and out-of-range deadlines are malformed on
+  // both kinds; none is admitted, though quota and budget have room.
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e300}) {
+    PackRequest p = pack_req("b", "x", make_mask_array(d, 0.5, 8));
+    p.deadline_us = bad;
+    EXPECT_EQ(reason_of(std::move(p)), RejectReason::kBadRequest) << bad;
+    UnpackRequest u = unpack_req("b", "x", 9);
+    u.deadline_us = bad;
+    EXPECT_EQ(reason_of(std::move(u)), RejectReason::kBadRequest) << bad;
+  }
+  EXPECT_EQ(server.stats().admitted, 0);
+
+  auto ok = server.submit(unpack_req("a", "x", 1));
+  ASSERT_EQ(server.stats().admitted, 1);
+
+  EXPECT_EQ(reason_of(unpack_req("a", "nope", 2)),
+            RejectReason::kUnknownArray);
+  UnpackRequest auto_scheme = unpack_req("b", "x", 3);
+  auto_scheme.scheme = UnpackScheme::kAuto;
+  EXPECT_EQ(reason_of(std::move(auto_scheme)), RejectReason::kBadRequest);
+  UnpackRequest wrong_mask = unpack_req("b", "x", 4);
+  wrong_mask.mask = make_mask_array(
+      dist::Distribution::block_cyclic(dist::Shape({kN}),
+                                       dist::ProcessGrid({kProcs}), kBlock * 2),
+      0.5, 4);
+  EXPECT_EQ(reason_of(std::move(wrong_mask)), RejectReason::kBadRequest);
+  UnpackRequest rank_two = unpack_req("b", "x", 5);
+  rank_two.vector = make_array(dist::Distribution::block(
+      dist::Shape({64, 64}), dist::ProcessGrid({2, 4})));
+  EXPECT_EQ(reason_of(std::move(rank_two)), RejectReason::kBadRequest);
+  EXPECT_EQ(reason_of(unpack_req("a", "x", 6)), RejectReason::kInFlightQuota);
+  EXPECT_EQ(reason_of(unpack_req("b", "x", 7)), RejectReason::kByteBudget);
+
+  EXPECT_EQ(server.stats().admitted, 1);
+  EXPECT_EQ(server.tenant_stats("b").rejected_other, 11);
+
+  server.resume();
+  server.drain();
+  EXPECT_EQ(ok.get().status, Status::kOk);
+  EXPECT_EQ(server.stats().bytes_in_flight, 0u);
   server.shutdown();
 }
 

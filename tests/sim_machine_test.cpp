@@ -36,6 +36,14 @@ TEST(CostModel, PresetsAreSane) {
               1e-9);
 }
 
+TEST(CostModel, CalibratedCm5IsOnePinnedReading) {
+  // The same three values on every call, run and host, bit for bit.
+  const auto cal = CostModel::calibrated_cm5();
+  EXPECT_EQ(cal.tau_us, 0.081272516250610355);
+  EXPECT_EQ(cal.mu_us_per_byte, 0.00011340351104736328);
+  EXPECT_EQ(cal.delta_us, 0.00028350877761840822);
+}
+
 TEST(Topology, CrossbarIsDistanceIndependent) {
   auto t = Topology::crossbar(8);
   CostModel c{1.0, 0.0, 0.0};
